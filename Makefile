@@ -36,8 +36,9 @@ bench-smoke:
 # Zero-allocation gate: the steady-state PlaceOn/Reinflate policy pass,
 # the partitioned batch-propose pass (risk-blind AND hazard-banded with
 # the headroom gate active), the SLO-metered sample pass (closed-form
-# queueing math included) AND the calendar event queue's steady-state
-# churn must all report 0 allocs/op, or the build fails. The awk gate
+# queueing math included), the calendar event queue's steady-state
+# churn AND the dirty-set drain of a 4096-server fleet must all report
+# 0 allocs/op, or the build fails. The awk gate
 # names each required benchmark explicitly (matching on the name with
 # its -GOMAXPROCS suffix stripped), so a renamed or silently skipped
 # benchmark fails the build instead of shrinking the gate. The
@@ -45,15 +46,17 @@ bench-smoke:
 bench-allocs:
 	$(GO) test -run '^$$' -bench 'PolicyPassSteadyState|ProposeSteadyState|RiskProposeSteadyState|PressureScan' -benchmem ./internal/cluster | tee BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'SamplePassSLOSteadyState|CalendarQueueSteadyState' -benchmem ./internal/clustersim | tee -a BENCH_allocs.txt
+	$(GO) test -run '^$$' -bench 'DirtySetDrain' -benchmem ./internal/cluster/capindex | tee -a BENCH_allocs.txt
 	@awk 'BEGIN { want["BenchmarkPolicyPassSteadyState"]; want["BenchmarkProposeSteadyState"]; \
 			want["BenchmarkRiskProposeSteadyState"]; want["BenchmarkPressureScan"]; \
-			want["BenchmarkSamplePassSLOSteadyState"]; want["BenchmarkCalendarQueueSteadyState"] } \
+			want["BenchmarkSamplePassSLOSteadyState"]; want["BenchmarkCalendarQueueSteadyState"]; \
+			want["BenchmarkDirtySetDrain"] } \
 		/^Benchmark/ && $$(NF) == "allocs/op" { name = $$1; sub(/-[0-9]+$$/, "", name); \
 			if (name in want) { seen[name] = 1; allocs = $$(NF-1) + 0; \
 				if (allocs > 0) { failed = 1; print "FAIL: " name " allocates " allocs " allocs/op (want 0)" } } } \
 		END { for (n in want) if (!(n in seen)) { failed = 1; print "FAIL: benchmark " n " missing from output" } \
 		if (failed) exit 1; \
-		print "OK: policy + propose (risk-blind + risk-aware) + pressure scan + SLO sample + calendar queue steady states at 0 allocs/op" }' BENCH_allocs.txt
+		print "OK: policy + propose (risk-blind + risk-aware) + pressure scan + SLO sample + calendar queue + dirty-set drain steady states at 0 allocs/op" }' BENCH_allocs.txt
 
 # Cloud-scale single-run smoke: one 50k-VM deflation run through the
 # capacity-indexed manager (sharded across all cores), reported to

@@ -22,7 +22,9 @@
 //     safe to take while hypervisor locks are held); the manager Drains
 //     the set — in sorted name order, so downstream float arithmetic
 //     stays deterministic — and refreshes index keys and cached
-//     availability vectors for exactly the dirty servers.
+//     availability vectors for exactly the dirty servers. Membership is
+//     a dense per-server bit plus a pending-id list, so a drain costs
+//     O(dirty log dirty), independent of fleet size.
 //
 // # Determinism invariants
 //
@@ -307,9 +309,18 @@ func ascend(n *node, lower float64, visit func(string, float64) bool) bool {
 // (it takes only the set's own mutex, a leaf in the lock order); Drain
 // empties the set and returns the names sorted, so refresh work — and
 // any float arithmetic it performs — happens in one deterministic order.
+//
+// Storage is dense, so a drain costs O(dirty log dirty) whatever the
+// fleet size: each name gets a small integer id the first time it is
+// marked (the registry is written once per name and never cleared), a
+// per-id bit records membership, and the ids marked since the last
+// drain queue in pending. Drain visits only the pending ids.
 type DirtySet struct {
-	mu    sync.Mutex
-	names map[string]struct{}
+	mu      sync.Mutex
+	ids     map[string]int32 // name → id, append-only
+	names   []string         // id → name
+	marked  []bool           // id → currently in the set
+	pending []int32          // marked ids, in Mark order
 	// buf is the reusable drain buffer: the set has a single consumer
 	// (the cluster manager, under its own lock), so Drain can hand back
 	// the same backing array every time and the per-query refresh stays
@@ -319,13 +330,23 @@ type DirtySet struct {
 
 // NewDirtySet returns an empty set.
 func NewDirtySet() *DirtySet {
-	return &DirtySet{names: make(map[string]struct{})}
+	return &DirtySet{ids: make(map[string]int32)}
 }
 
 // Mark adds name to the set.
 func (s *DirtySet) Mark(name string) {
 	s.mu.Lock()
-	s.names[name] = struct{}{}
+	id, ok := s.ids[name]
+	if !ok {
+		id = int32(len(s.names))
+		s.ids[name] = id
+		s.names = append(s.names, name)
+		s.marked = append(s.marked, false)
+	}
+	if !s.marked[id] {
+		s.marked[id] = true
+		s.pending = append(s.pending, id)
+	}
 	s.mu.Unlock()
 }
 
@@ -333,7 +354,7 @@ func (s *DirtySet) Mark(name string) {
 func (s *DirtySet) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.names)
+	return len(s.pending)
 }
 
 // Drain removes and returns all marked names in sorted order. It returns
@@ -342,16 +363,17 @@ func (s *DirtySet) Len() int {
 // and is valid only until the next Drain.
 func (s *DirtySet) Drain() []string {
 	s.mu.Lock()
-	if len(s.names) == 0 {
+	if len(s.pending) == 0 {
 		s.mu.Unlock()
 		return nil
 	}
 	out := s.buf[:0]
-	for n := range s.names {
-		out = append(out, n)
+	for _, id := range s.pending {
+		s.marked[id] = false
+		out = append(out, s.names[id])
 	}
+	s.pending = s.pending[:0]
 	s.buf = out
-	clear(s.names)
 	s.mu.Unlock()
 	sort.Strings(out)
 	return out

@@ -347,6 +347,10 @@ type Manager struct {
 	pressureScored    int
 	pressurePruned    int
 
+	// synced counts servers whose cached placement state the dirty sync
+	// refreshed: a work counter for tests, which bound it exactly.
+	synced int
+
 	// Batch-placement state, reused across PlaceVMs calls and touched
 	// only under mu (the propose arenas live on the partitions). The
 	// touched set tracks servers mutated by earlier commits of the

@@ -231,6 +231,7 @@ func (m *Manager) syncDirtyLocked() {
 	if total == 0 {
 		return
 	}
+	m.synced += total
 	if total >= parallelSyncMin && len(m.parts) > 1 {
 		m.dispatchLocked(phaseSync)
 	} else {

@@ -109,8 +109,11 @@ import (
 // and per-priority violation seconds into the Result. The engine also
 // publishes each VM's sampled load to its domain
 // (Domain.SetOfferedLoad), which is what makes the latency-aware policy
-// load-sensitive; without an SLOConfig loads stay zero and runs are
-// bit-for-bit identical to pre-SLO builds.
+// load-sensitive. Publishing is view-only: it refreshes the Load the
+// host's deflatable view hands the policy, marks no server dirty and
+// re-keys no index, so the sample pass adds no placement-state work.
+// Without an SLOConfig loads stay zero and runs are bit-for-bit
+// identical to pre-SLO builds.
 type SLOConfig struct {
 	// Curve maps deflation to retained performance for the effective
 	// service rate. The zero value means the worst-case linear curve.

@@ -68,10 +68,12 @@ type Engine struct {
 
 	// Streamed-trace state (nil/zero on eager runs). geo carries the
 	// compact sizing view between NewEngine and setupDeflation and is
-	// released before the event loop; synth/utilBuf serve admission-time
-	// P95 synthesis; cursorFree recycles utilisation cursors (with their
+	// released before the event loop; synth serves admission-time series
+	// synthesis; cursorFree recycles utilisation cursors (with their
 	// embedded RNG state) across VM lifetimes — the per-run arena that
-	// keeps steady-state churn allocation-light.
+	// keeps steady-state churn allocation-light. utilBuf is the
+	// admission-time P95 scratch of both input paths: the percentile
+	// selection reorders it in place.
 	geo        *streamGeometry
 	synth      *trace.SeriesSynth
 	utilBuf    []float64
@@ -761,29 +763,30 @@ func (e *Engine) handleArrivals(evs []simEvent) {
 			Deflatable: deflatable,
 		}
 		switch {
-		case streamed && deflatable:
+		case !deflatable:
+			// On-demand VM: its priority is 0, and nothing downstream
+			// reads an on-demand VM's p95-derived prio (no meters, no SLO
+			// samples), so skip the series read.
+		case streamed:
 			// The record carries no materialised series; synthesize it
 			// once into the reusable buffer for the P95 the priority
 			// quantises, reading the admission-instant load off sample 0
-			// (ev.at is exactly vm.Start). Same bits as the eager reads.
+			// (ev.at is exactly vm.Start) before the selection reorders
+			// the buffer. Same bits as the eager reads.
 			p := cfg.Stream.Params(ev.seq)
 			e.utilBuf = e.synth.Append(p, e.utilBuf[:0])
-			prio = policy.PriorityFromP95(stats.Percentile(e.utilBuf, 95), cfg.PriorityLevels)
-			dc.Priority = prio
 			if cfg.SLO != nil {
 				dc.Load = e.utilBuf[0] / 100 * float64(vm.Cores)
 			}
-		case streamed:
-			// On-demand VM: priority is forced to 0 below either way, and
-			// nothing downstream reads an on-demand VM's p95-derived prio
-			// (no meters, no SLO samples), so skip the synthesis.
-		default:
-			prio = policy.PriorityFromP95(vm.P95(), cfg.PriorityLevels)
+			prio = policy.PriorityFromP95(stats.PercentileInPlace(e.utilBuf, 95), cfg.PriorityLevels)
 			dc.Priority = prio
-			if !deflatable {
-				dc.Priority = 0
-			}
-			if deflatable && cfg.SLO != nil {
+		default:
+			// vm.P95() without its per-call copy: select in the reusable
+			// buffer, leaving the record's series untouched.
+			e.utilBuf = append(e.utilBuf[:0], vm.CPUUtil...)
+			prio = policy.PriorityFromP95(stats.PercentileInPlace(e.utilBuf, 95), cfg.PriorityLevels)
+			dc.Priority = prio
+			if cfg.SLO != nil {
 				// Seed the admission-time offered load so the VM's own
 				// admission pass (and any deflation it triggers) sees it.
 				dc.Load = vm.UtilAt(ev.at) / 100 * float64(vm.Cores)

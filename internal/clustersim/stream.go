@@ -208,7 +208,7 @@ func partitionPlanStream(cfg Config, s *trace.Stream, g *streamGeometry, nServer
 		lvl := levels - 1 // on-demand pool
 		if p.Class == trace.Interactive {
 			buf = synth.Append(p, buf[:0])
-			pr := policy.PriorityFromP95(stats.Percentile(buf, 95), levels)
+			pr := policy.PriorityFromP95(stats.PercentileInPlace(buf, 95), levels)
 			lvl = int(pr*float64(levels)) - 1
 			if lvl < 0 {
 				lvl = 0

@@ -250,3 +250,62 @@ func TestFloorHelpers(t *testing.T) {
 		t.Error("Domain.Floor disagrees with DomainConfig.Floor")
 	}
 }
+
+// TestSetOfferedLoadIsViewOnly pins the load contract: offered load
+// feeds only the deflatable view, so reporting it fires no
+// aggregate-change callback, leaves Aggregates() bit-equal without a
+// re-walk, and the next view read carries the new Load — patched in
+// place, also without a walk.
+func TestSetOfferedLoadIsViewOnly(t *testing.T) {
+	h := testHost(t)
+	a := defineRunning(t, h, "a", 8, 16384)
+	b := defineRunning(t, h, "b", 4, 8192)
+	defineRunning(t, h, "c", 2, 4096)
+	if err := b.SetCPUShares(2); err != nil {
+		t.Fatal(err)
+	}
+	fires := 0
+	h.OnAggregateChange(func() { fires++ })
+	agg := h.Aggregates()
+	h.AppendDeflatableView(nil, nil)
+	walks := h.walks
+
+	a.SetOfferedLoad(3.5)
+	b.SetOfferedLoad(1.25)
+	if fires != 0 {
+		t.Errorf("load change fired the aggregate callback %d times", fires)
+	}
+	if got := h.Aggregates(); got != agg {
+		t.Errorf("aggregates moved on a load change:\n got %+v\nwant %+v", got, agg)
+	}
+	if h.walks != walks {
+		t.Errorf("Aggregates() re-walked the host after a load-only change")
+	}
+	states, doms := h.AppendDeflatableView(nil, nil)
+	if h.walks != walks {
+		t.Errorf("view read re-walked the host after a load-only change")
+	}
+	want := map[string]float64{"a": 3.5, "b": 1.25, "c": 0}
+	for i, s := range states {
+		if s.Load != want[s.Name] || doms[i].OfferedLoad() != s.Load {
+			t.Errorf("view state %s has Load %g, want %g", s.Name, s.Load, want[s.Name])
+		}
+	}
+
+	// The patched view equals a full rebuild.
+	b.ClearTransparentLimits()
+	b.SetCPUShares(2) // same allocation as before, through a real mutation
+	rebuilt, _ := h.AppendDeflatableView(nil, nil)
+	if h.walks != walks+1 {
+		t.Fatalf("allocation change did not rebuild the view (walks %d -> %d)", walks, h.walks)
+	}
+	if fmt.Sprint(rebuilt) != fmt.Sprint(states) {
+		t.Errorf("patched view differs from a rebuild:\n got %+v\nwant %+v", states, rebuilt)
+	}
+
+	// Re-reporting an unchanged load flags nothing.
+	a.SetOfferedLoad(3.5)
+	if h.loadDirty.Load() {
+		t.Error("unchanged load flagged the view stale")
+	}
+}

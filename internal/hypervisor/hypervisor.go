@@ -95,7 +95,8 @@ type DomainConfig struct {
 	// (core-seconds of CPU demand per second). It seeds the live value
 	// maintained by SetOfferedLoad, so a VM admitted — or evacuated to a
 	// new server — under load is visible to latency-aware policies from
-	// its first policy pass.
+	// its first policy pass. Load feeds only the host's deflatable view
+	// (policy.VMState.Load); no aggregate depends on it.
 	Load float64
 }
 
@@ -188,13 +189,20 @@ type Host struct {
 	// cacheMu -> mu -> Domain.mu, and invalidation takes none of them
 	// (atomic flag + leaf callback), so mutators that already hold mu or
 	// a Domain lock can invalidate without deadlock.
+	//
+	// Offered load is the one input only the view reads, so a load
+	// change sets loadDirty alone: the next view read patches each
+	// state's Load in place, the aggregates stay clean, and no
+	// aggregate-change callback fires.
 	cacheMu      sync.Mutex
 	cacheValid   bool
 	cacheDirty   atomic.Bool
+	loadDirty    atomic.Bool
 	agg          Aggregates
 	viewStates   []policy.VMState
 	viewDoms     []*Domain
 	cacheScratch []*Domain // reusable order snapshot for the rebuild walk
+	walks        int       // rebuild walks so far (a work counter for tests)
 
 	// onChange, when set, is called after every aggregate invalidation.
 	// It may run while host or domain locks are held: implementations
@@ -258,8 +266,10 @@ func (h *Host) SetCapacity(v resources.Vector) error {
 }
 
 // OnAggregateChange registers fn to be called when a mutation (any
-// define/undefine, lifecycle transition, limit change or hotplug)
-// invalidates the host's clean aggregate cache. Notifications are
+// define/undefine, lifecycle transition, limit change, hotplug or
+// capacity resize) invalidates the host's clean aggregate cache. An
+// offered-load report (SetOfferedLoad) is not such a mutation: it moves
+// no aggregate, so it never fires fn. Notifications are
 // edge-triggered: while the cache is already stale further mutations
 // are coalesced into the pending notification, and the next
 // Aggregates()/AppendDeflatableView() read re-arms the edge — exactly
@@ -308,12 +318,14 @@ func (h *Host) Aggregates() Aggregates {
 // refreshCacheLocked rebuilds the aggregates and the deflatable VM-state
 // view in one name-order walk — the fixed iteration order that keeps the
 // float summations reproducible — if a mutation happened since the last
-// read. Each domain is read through a single snapshot (one lock
-// acquisition) shared by both derivations. Called with cacheMu held.
-func (h *Host) refreshCacheLocked() {
+// read, and reports whether it did. Each domain is read through a single
+// snapshot (one lock acquisition) shared by both derivations. Called
+// with cacheMu held.
+func (h *Host) refreshCacheLocked() bool {
 	if !h.cacheDirty.Swap(false) && h.cacheValid {
-		return
+		return false
 	}
+	h.walks++
 	h.mu.Lock()
 	h.cacheScratch = append(h.cacheScratch[:0], h.order...)
 	h.mu.Unlock()
@@ -348,6 +360,7 @@ func (h *Host) refreshCacheLocked() {
 	}
 	h.agg = a
 	h.cacheValid = true
+	return true
 }
 
 // AppendDeflatableView appends the host's cached policy view of its
@@ -362,10 +375,18 @@ func (h *Host) refreshCacheLocked() {
 //
 // The appended states are a snapshot: a subsequent allocation or
 // lifecycle mutation invalidates the cache but not slices already handed
-// out, exactly like Aggregates().
+// out, exactly like Aggregates(). Offered-load changes alone cost no
+// walk: each cached state's Load is re-read in place.
 func (h *Host) AppendDeflatableView(states []policy.VMState, domains []*Domain) ([]policy.VMState, []*Domain) {
 	h.cacheMu.Lock()
-	h.refreshCacheLocked()
+	// Clear the load flag before any read, so a report racing with this
+	// call re-flags the view for the next one.
+	loadStale := h.loadDirty.Swap(false)
+	if !h.refreshCacheLocked() && loadStale {
+		for i, d := range h.viewDoms {
+			h.viewStates[i].Load = d.OfferedLoad()
+		}
+	}
 	states = append(states, h.viewStates...)
 	domains = append(domains, h.viewDoms...)
 	h.cacheMu.Unlock()
@@ -607,10 +628,11 @@ func (d *Domain) OfferedLoad() float64 {
 // SetOfferedLoad reports the domain's current offered request load in
 // cores (core-seconds of demand per second), as metered by whatever is
 // watching the VM's request stream. Latency-aware policies read it from
-// the host's deflatable view. Negative values clamp to zero. The
-// aggregate cache is invalidated only when the value actually changes,
-// so re-reporting a steady load between policy passes stays O(1) and
-// keeps the host's clean-cache fast path intact.
+// the host's deflatable view. Negative values clamp to zero. Load moves
+// no aggregate, so a change only flags the host's view stale: the
+// aggregates stay cached, OnAggregateChange does not fire, and the next
+// AppendDeflatableView patches the new Load in without a walk.
+// Re-reporting an unchanged load flags nothing.
 func (d *Domain) SetOfferedLoad(v float64) {
 	if v < 0 {
 		v = 0
@@ -620,7 +642,7 @@ func (d *Domain) SetOfferedLoad(v float64) {
 	d.load = v
 	d.mu.Unlock()
 	if changed {
-		d.host.invalidateAggregates()
+		d.host.loadDirty.Store(true)
 	}
 }
 

@@ -3,6 +3,7 @@ package hypervisor
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"vmdeflate/internal/policy"
@@ -25,6 +26,7 @@ func freshView(h *Host) ([]policy.VMState, []*Domain) {
 			Min:      d.Floor(),
 			Priority: d.Priority(),
 			Current:  d.Allocation(),
+			Load:     d.OfferedLoad(),
 		})
 		doms = append(doms, d)
 	}
@@ -52,10 +54,13 @@ func checkView(t *testing.T, h *Host, op string) {
 
 // TestDeflatableViewMatchesFreshWalk is the view-cache coherence
 // property test: after every operation of a long randomized define /
-// start / limit / hotplug / clear / shutdown / undefine sequence, the
-// cached per-host VM-state view must equal a fresh Domains() walk
-// exactly — the invariant that lets PlaceOn and Reinflate consume the
-// cache instead of rebuilding policy.VMState slices per pass.
+// start / limit / hotplug / clear / shutdown / undefine / offered-load
+// sequence, the cached per-host VM-state view must equal a fresh
+// Domains() walk exactly — the invariant that lets PlaceOn and
+// Reinflate consume the cache instead of rebuilding policy.VMState
+// slices per pass. Load reports are patched into the view without a
+// rebuild, and interleaved Aggregates() reads rebuild it without
+// consuming the load flag; both paths are exercised.
 func TestDeflatableViewMatchesFreshWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	h := testHost(t)
@@ -64,7 +69,7 @@ func TestDeflatableViewMatchesFreshWalk(t *testing.T) {
 
 	for op := 0; op < 3000; op++ {
 		var opName string
-		switch k := rng.Intn(10); {
+		switch k := rng.Intn(12); {
 		case k <= 2 || len(live) == 0: // define + maybe start
 			name := fmt.Sprintf("vm-%04d", next)
 			next++
@@ -129,6 +134,18 @@ func TestDeflatableViewMatchesFreshWalk(t *testing.T) {
 				d.Start()
 			}
 			opName = "flip " + name
+		case k >= 10: // offered-load report, sometimes unchanged
+			name := live[rng.Intn(len(live))]
+			d, err := h.Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rng.Intn(4) != 0 {
+				d.SetOfferedLoad(float64(rng.Intn(8)) * 0.5)
+			} else {
+				d.SetOfferedLoad(d.OfferedLoad())
+			}
+			opName = "load " + name
 		default: // undefine (stopping first if needed)
 			i := rng.Intn(len(live))
 			name := live[i]
@@ -144,6 +161,9 @@ func TestDeflatableViewMatchesFreshWalk(t *testing.T) {
 			}
 			live = append(live[:i], live[i+1:]...)
 			opName = "undefine " + name
+		}
+		if rng.Intn(4) == 0 {
+			h.Aggregates()
 		}
 		checkView(t, h, opName)
 	}
@@ -186,4 +206,47 @@ func TestDeflatableViewAppendSemantics(t *testing.T) {
 	if got != 0 {
 		t.Errorf("steady-state view read allocates %.1f allocs/op, want 0", got)
 	}
+}
+
+// TestOfferedLoadConcurrentWithViewReads reports loads from several
+// goroutines — as the sharded sample pass does, one shard per slice of
+// the running set — while another goroutine reads the view. Run with
+// -race; once the writers finish, the view must carry every final load.
+func TestOfferedLoadConcurrentWithViewReads(t *testing.T) {
+	h := testHost(t)
+	var doms []*Domain
+	for i := 0; i < 8; i++ {
+		doms = append(doms, defineRunning(t, h, fmt.Sprintf("vm-%d", i), 2, 4096))
+	}
+	done := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		var states []policy.VMState
+		var ds []*Domain
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				states, ds = h.AppendDeflatableView(states[:0], ds[:0])
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < 500; r++ {
+				for i := w; i < len(doms); i += 4 {
+					doms[i].SetOfferedLoad(float64((r + i) % 7))
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(done)
+	<-readerDone
+	checkView(t, h, "concurrent load reports")
 }

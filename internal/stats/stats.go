@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -18,13 +19,101 @@ var ErrEmpty = errors.New("stats: empty sample")
 // interpolation between closest ranks. xs need not be sorted; it is not
 // modified. An empty sample returns NaN.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
+	return PercentileInPlace(append([]float64(nil), xs...), p)
+}
+
+// PercentileInPlace is Percentile without the copy: it reorders xs,
+// selecting the two order statistics the interpolation reads instead of
+// sorting, in expected O(len(xs)) time with no allocation. The result
+// equals PercentileSorted over sort.Float64s(xs) — the same ranks under
+// the same order, NaNs first.
+func PercentileInPlace(xs []float64, p float64) float64 {
+	n := len(xs)
+	switch {
+	case n == 0:
 		return math.NaN()
+	case n == 1:
+		return xs[0]
+	case p <= 0:
+		selectRank(xs, 0)
+		return xs[0]
+	case p >= 100:
+		selectRank(xs, n-1)
+		return xs[n-1]
 	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	return PercentileSorted(s, p)
+	rank := p / 100 * float64(n-1)
+	lo := int(math.Floor(rank))
+	hi := int(math.Ceil(rank))
+	selectRank(xs, lo)
+	if lo == hi {
+		return xs[lo]
+	}
+	// Everything after lo is not below xs[lo], so rank hi = lo+1 is the
+	// least of them.
+	next := xs[hi]
+	for _, x := range xs[hi+1:] {
+		if floatLess(x, next) {
+			next = x
+		}
+	}
+	frac := rank - float64(lo)
+	return xs[lo]*(1-frac) + next*frac
+}
+
+// floatLess is the order sort.Float64s sorts by: ascending, NaNs first.
+func floatLess(a, b float64) bool {
+	return a < b || (math.IsNaN(a) && !math.IsNaN(b))
+}
+
+// selectRank reorders xs so that xs[k] holds the element of rank k
+// under floatLess, nothing before it is greater and nothing after it
+// is less. It is a quickselect with a median-of-three pivot and a
+// three-way partition (runs of equal samples, common in utilisation
+// series, settle in one pass); a pivot sequence that fails to shrink
+// the range falls back to sorting what is left, bounding the worst
+// case at O(n log n).
+func selectRank(xs []float64, k int) {
+	lo, hi := 0, len(xs)-1
+	for budget := 2 * bits.Len(uint(len(xs))); lo < hi; budget-- {
+		if budget == 0 {
+			sort.Float64s(xs[lo : hi+1])
+			return
+		}
+		a, b, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi]
+		if floatLess(b, a) {
+			a, b = b, a
+		}
+		if floatLess(c, b) {
+			b = c
+			if floatLess(b, a) {
+				b = a
+			}
+		}
+		pivot := b
+		// xs[lo:lt] < pivot, xs[lt:i] == pivot, xs[gt+1:hi+1] > pivot.
+		lt, i, gt := lo, lo, hi
+		for i <= gt {
+			switch {
+			case floatLess(xs[i], pivot):
+				xs[lt], xs[i] = xs[i], xs[lt]
+				lt++
+				i++
+			case floatLess(pivot, xs[i]):
+				xs[i], xs[gt] = xs[gt], xs[i]
+				gt--
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt - 1
+		case k > gt:
+			lo = gt + 1
+		default:
+			return
+		}
+	}
 }
 
 // PercentileSorted is Percentile for an already ascending-sorted sample.

@@ -310,3 +310,125 @@ func TestPercentileSortedAgainstSortSearch(t *testing.T) {
 		t.Errorf("median = %v, want %v", got, xs[128])
 	}
 }
+
+// sortedPercentile is the sort-based oracle PercentileInPlace must
+// match bit for bit.
+func sortedPercentile(xs []float64, p float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return PercentileSorted(s, p)
+}
+
+// TestPercentileInPlaceMatchesSort is the selection's property test:
+// over random samples drawn from a small palette (so ties are common),
+// with NaNs and infinities mixed in, the selected percentile equals the
+// sort-based one bit for bit at every p, including the p <= 0 and
+// p >= 100 clamps, and the sample keeps its multiset of values. Zero is
+// drawn only as +0: sort.Float64s treats -0 and +0 as equal and leaves
+// their relative order unspecified, so no oracle fixes which one a
+// rank holds.
+func TestPercentileInPlaceMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	palette := []float64{0, 1, 2.5, 37.2, 100, math.Inf(1), math.Inf(-1), math.NaN()}
+	ps := []float64{-1, 0, 1, 5, 25, 50, 75, 95, 99, 100, 120}
+	for trial := 0; trial < 4000; trial++ {
+		n := 1 + rng.Intn(300)
+		if trial%4 == 0 {
+			n = 1 + rng.Intn(6)
+		}
+		xs := make([]float64, n)
+		distinct := 1 + rng.Intn(12)
+		for i := range xs {
+			switch k := rng.Intn(distinct + 2); {
+			case k < len(palette) && trial%3 != 0:
+				xs[i] = palette[k]
+			case trial%5 == 0:
+				xs[i] = float64(rng.Intn(distinct))
+			default:
+				xs[i] = rng.Float64() * 100
+			}
+		}
+		p := ps[rng.Intn(len(ps))]
+		if trial%2 == 0 {
+			p = rng.Float64() * 100
+		}
+		want := sortedPercentile(xs, p)
+		work := append([]float64(nil), xs...)
+		got := PercentileInPlace(work, p)
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("trial %d: PercentileInPlace(n=%d, p=%v) = %v, sort gives %v\nsample %v", trial, n, p, got, want, xs)
+		}
+		if got := Percentile(xs, p); math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("trial %d: Percentile = %v, sort gives %v", trial, got, want)
+		}
+		a, b := append([]float64(nil), xs...), work
+		sort.Float64s(a)
+		sort.Float64s(b)
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) && !(math.IsNaN(a[i]) && math.IsNaN(b[i])) {
+				t.Fatalf("trial %d: selection changed the sample's values", trial)
+			}
+		}
+	}
+}
+
+// TestPercentileInPlaceAdversarial covers the inputs a naive quickselect
+// degrades on — sorted, reversed, all-equal and organ-pipe samples —
+// against the sort oracle.
+func TestPercentileInPlaceAdversarial(t *testing.T) {
+	const n = 1025
+	shapes := map[string]func(i int) float64{
+		"ascending":  func(i int) float64 { return float64(i) },
+		"descending": func(i int) float64 { return float64(n - i) },
+		"constant":   func(int) float64 { return 42 },
+		"organ-pipe": func(i int) float64 { return float64(min(i, n-1-i)) },
+		"sawtooth":   func(i int) float64 { return float64(i % 17) },
+	}
+	for name, f := range shapes {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = f(i)
+		}
+		for _, p := range []float64{0, 50, 95, 99.9, 100} {
+			want := sortedPercentile(xs, p)
+			if got := PercentileInPlace(append([]float64(nil), xs...), p); got != want {
+				t.Errorf("%s p%v: got %v, want %v", name, p, got, want)
+			}
+		}
+	}
+}
+
+func TestPercentileInPlaceZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	xs := make([]float64, 864)
+	for i := range xs {
+		xs[i] = rng.Float64() * 100
+	}
+	if a := testing.AllocsPerRun(100, func() { PercentileInPlace(xs, 95) }); a != 0 {
+		t.Errorf("PercentileInPlace allocates %v per call", a)
+	}
+}
+
+// BenchmarkPercentile95 compares the copying sort oracle with in-place
+// selection on one 3-day utilisation series (864 five-minute samples).
+func BenchmarkPercentile95(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	src := make([]float64, 864)
+	for i := range src {
+		src[i] = math.Round(rng.Float64() * 100)
+	}
+	work := make([]float64, len(src))
+	b.Run("sort", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sortedPercentile(src, 95)
+		}
+	})
+	b.Run("select", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			copy(work, src)
+			PercentileInPlace(work, 95)
+		}
+	})
+}
