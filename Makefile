@@ -1,12 +1,13 @@
 # Developer/CI entry points. `make ci` is what the GitHub Actions
-# workflow runs: vet, race-enabled tests, a one-shot smoke of the
+# workflow runs: vet, race-enabled tests, bounded fuzzing of the
+# capacity index, a one-shot smoke of the
 # parallel sweep benchmark, the zero-allocation gate on the placement
 # policy hot path, and the 50k-VM capacity-index scale smoke (whose
 # BENCH_scale.json report CI archives as a build artifact).
 
 GO ?= go
 
-.PHONY: build test vet race race-placement bench-smoke bench-allocs bench-scale bench-scale-1m bench-scale-10m bench-matrix bench-revocation bench-slo bench-risk bench-pressure bench ci
+.PHONY: build test vet race race-placement fuzz bench-smoke bench-allocs bench-scale bench-scale-1m bench-scale-10m bench-matrix bench-revocation bench-slo bench-risk bench-pressure bench ci
 
 build:
 	$(GO) build ./...
@@ -28,6 +29,14 @@ race:
 race-placement:
 	$(GO) test -race -run 'Partition|PlaceVMs|Propose|Sharded|Preemption|Revo|Shock|Resize|Risk|Hazard|Headroom|Pressure' ./internal/cluster ./internal/clustersim
 
+# Bounded native fuzzing of the capacity index package: the dirty set
+# and the surplus index against their map oracles. -fuzz takes one
+# target per package run, so each target gets its own run.
+FUZZTIME ?= 20s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDirtySet$$' -fuzztime $(FUZZTIME) ./internal/cluster/capindex
+	$(GO) test -run '^$$' -fuzz '^FuzzIndex$$' -fuzztime $(FUZZTIME) ./internal/cluster/capindex
+
 # One iteration of the 10k-VM sweep benchmarks: proves the parallel
 # engine end-to-end without the cost of a full benchmark session.
 bench-smoke:
@@ -37,8 +46,9 @@ bench-smoke:
 # the partitioned batch-propose pass (risk-blind AND hazard-banded with
 # the headroom gate active), the SLO-metered sample pass (closed-form
 # queueing math included), the calendar event queue's steady-state
-# churn AND the dirty-set drain of a 4096-server fleet must all report
-# 0 allocs/op, or the build fails. The awk gate
+# churn, the dirty-set drain of a 4096-server fleet AND the 4096-entry
+# surplus index's key moves, free-only updates and FirstFit queries must
+# all report 0 allocs/op, or the build fails. The awk gate
 # names each required benchmark explicitly (matching on the name with
 # its -GOMAXPROCS suffix stripped), so a renamed or silently skipped
 # benchmark fails the build instead of shrinking the gate. The
@@ -46,17 +56,17 @@ bench-smoke:
 bench-allocs:
 	$(GO) test -run '^$$' -bench 'PolicyPassSteadyState|ProposeSteadyState|RiskProposeSteadyState|PressureScan' -benchmem ./internal/cluster | tee BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'SamplePassSLOSteadyState|CalendarQueueSteadyState' -benchmem ./internal/clustersim | tee -a BENCH_allocs.txt
-	$(GO) test -run '^$$' -bench 'DirtySetDrain' -benchmem ./internal/cluster/capindex | tee -a BENCH_allocs.txt
+	$(GO) test -run '^$$' -bench 'DirtySetDrain|IndexSet|FirstFit' -benchmem ./internal/cluster/capindex | tee -a BENCH_allocs.txt
 	@awk 'BEGIN { want["BenchmarkPolicyPassSteadyState"]; want["BenchmarkProposeSteadyState"]; \
 			want["BenchmarkRiskProposeSteadyState"]; want["BenchmarkPressureScan"]; \
 			want["BenchmarkSamplePassSLOSteadyState"]; want["BenchmarkCalendarQueueSteadyState"]; \
-			want["BenchmarkDirtySetDrain"] } \
+			want["BenchmarkDirtySetDrain"]; want["BenchmarkIndexSet"]; want["BenchmarkFirstFit"] } \
 		/^Benchmark/ && $$(NF) == "allocs/op" { name = $$1; sub(/-[0-9]+$$/, "", name); \
 			if (name in want) { seen[name] = 1; allocs = $$(NF-1) + 0; \
 				if (allocs > 0) { failed = 1; print "FAIL: " name " allocates " allocs " allocs/op (want 0)" } } } \
 		END { for (n in want) if (!(n in seen)) { failed = 1; print "FAIL: benchmark " n " missing from output" } \
 		if (failed) exit 1; \
-		print "OK: policy + propose (risk-blind + risk-aware) + pressure scan + SLO sample + calendar queue + dirty-set drain steady states at 0 allocs/op" }' BENCH_allocs.txt
+		print "OK: policy + propose (risk-blind + risk-aware) + pressure scan + SLO sample + calendar queue + dirty-set drain + surplus index set/query steady states at 0 allocs/op" }' BENCH_allocs.txt
 
 # Cloud-scale single-run smoke: one 50k-VM deflation run through the
 # capacity-indexed manager (sharded across all cores), reported to
@@ -122,4 +132,4 @@ bench-pressure:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
-ci: build vet race bench-smoke bench-allocs bench-scale bench-revocation bench-slo bench-risk bench-pressure
+ci: build vet race fuzz bench-smoke bench-allocs bench-scale bench-revocation bench-slo bench-risk bench-pressure

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"vmdeflate/internal/resources"
 )
 
 // refEntry mirrors one index entry in the flat reference model.
@@ -167,42 +169,54 @@ func TestFirstFitting(t *testing.T) {
 	}
 }
 
-// TestMinFitting pins the merged best-of-partitions query: the global
+// TestMinFitting pins the merged best-of-partitions queries: the global
 // (key, name) minimum across per-partition answers, each with its own
-// lower bound, equal to what one combined index would return.
+// lower bound, equal to what one combined index would return — for the
+// predicate form MinFitting and for the pruned MinFit alike.
 func TestMinFitting(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const parts = 3
 	ixs := make([]*Index, parts)
 	lowers := make([]float64, parts)
 	for i := range ixs {
-		ixs[i] = New()
+		ixs[i] = NewFit()
 	}
-	combined := New()
-	keyOf := map[string]float64{}
+	combined := NewFit()
+	free := map[string]resources.Vector{}
+	var names []string
 	for i := 0; i < 90; i++ {
 		name := fmt.Sprintf("node-%03d", i)
 		key := float64(rng.Intn(20)) / 20 // deliberate cross-partition ties
-		ixs[i%parts].Upsert(name, key)
-		combined.Upsert(name, key)
-		keyOf[name] = key
+		f := resources.CPUMem(float64(rng.Intn(6)), float64(rng.Intn(6)*1024))
+		ixs[i%parts].Set(name, i, key, f)
+		combined.Set(name, i, key, f)
+		free[name] = f
+		names = append(names, name)
 	}
-	fits := func(n string) bool { return keyOf[n] >= 0.3 }
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 200; trial++ {
 		lower := rng.Float64()
 		for i := range lowers {
 			lowers[i] = lower
 		}
+		size := resources.CPUMem(float64(rng.Intn(6)), float64(rng.Intn(6)*1024))
+		fits := func(n string) bool { return size.FitsIn(free[n]) }
 		gn, gk, gok := MinFitting(ixs, lowers, fits)
 		wn, wk, wok := combined.FirstFitting(lower, fits)
 		if gok != wok || gn != wn || gk != wk {
-			t.Fatalf("bound %v: MinFitting = %q %v %v, combined = %q %v %v",
-				lower, gn, gk, gok, wn, wk, wok)
+			t.Fatalf("trial %d: MinFitting = %q %v %v, combined = %q %v %v",
+				trial, gn, gk, gok, wn, wk, wok)
+		}
+		ref, ok := MinFit(ixs, lowers, size)
+		if ok != wok || (ok && names[ref] != wn) {
+			t.Fatalf("trial %d: MinFit = %d %v, combined FirstFitting = %q %v", trial, ref, ok, wn, wok)
 		}
 	}
 	// Nil indexes (a pool absent from a partition) are skipped.
-	if _, _, ok := MinFitting([]*Index{nil, nil}, []float64{0, 0}, fits); ok {
+	if _, _, ok := MinFitting([]*Index{nil, nil}, []float64{0, 0}, func(string) bool { return true }); ok {
 		t.Fatal("MinFitting over nil indexes should miss")
+	}
+	if _, ok := MinFit([]*Index{nil, nil}, []float64{0, 0}, resources.Vector{}); ok {
+		t.Fatal("MinFit over nil indexes should miss")
 	}
 }
 
@@ -277,58 +291,87 @@ func TestDirtySet(t *testing.T) {
 	}
 }
 
-// structEqual compares two treaps node by node — shape included.
-func structEqual(a, b *node) bool {
-	if a == nil || b == nil {
-		return a == b
+// structEqual compares two treaps node by node — shape, priorities and,
+// on the surplus family, free vectors and subtree maxima included.
+func structEqual(a *Index, ta int32, b *Index, tb int32) bool {
+	if ta == none || tb == none {
+		return ta == tb
 	}
-	return a.key == b.key && a.name == b.name && a.prio == b.prio &&
-		structEqual(a.left, b.left) && structEqual(a.right, b.right)
+	na, nb := a.nodes[ta], b.nodes[tb]
+	if na.key != nb.key || a.names[ta] != b.names[tb] || na.prio != nb.prio || a.fit != b.fit {
+		return false
+	}
+	if a.fit && (a.free[ta] != b.free[tb] || a.sub[ta] != b.sub[tb]) {
+		return false
+	}
+	return structEqual(a, na.left, b, nb.left) && structEqual(a, na.right, b, nb.right)
 }
 
 // TestDeleteReinsertMatchesRebuilt is the canonical-shape property the
 // revocation path leans on: because heap priorities derive from names
 // and the BST order is (key, name), the treap's SHAPE — not just its
-// in-order contents — is a pure function of the entry set. Any
-// delete/reinsert history (a server revoked and restored arbitrarily
-// many times) must therefore leave the index structurally identical to
-// one rebuilt from scratch, so iteration cost and visit order can never
-// drift with churn.
+// in-order contents — is a pure function of the entry set, and so is
+// every subtree maximum of the surplus family. Any delete/reinsert,
+// key-move or free-only history (a server revoked and restored
+// arbitrarily many times, its free vector changing under a fixed key)
+// must therefore leave the index structurally identical to one rebuilt
+// from scratch, so iteration cost and visit order can never drift with
+// churn.
 func TestDeleteReinsertMatchesRebuilt(t *testing.T) {
+	type entry struct {
+		key  float64
+		free resources.Vector
+	}
 	rng := rand.New(rand.NewSource(17))
-	ix := New()
-	model := refModel{}
+	ix := NewFit()
+	model := map[string]entry{}
+	sorted := func() []string {
+		names := make([]string, 0, len(model))
+		for n := range model {
+			names = append(names, n)
+		}
+		sort.Slice(names, func(i, j int) bool {
+			return less(model[names[i]].key, names[i], model[names[j]].key, names[j])
+		})
+		return names
+	}
 	for op := 0; op < 3000; op++ {
 		name := fmt.Sprintf("node-%03d", rng.Intn(120))
-		switch rng.Intn(5) {
+		free := resources.CPUMem(float64(rng.Intn(8)), float64(rng.Intn(8)*512))
+		switch rng.Intn(6) {
 		case 0, 1: // delete (revocation)
 			ix.Delete(name)
 			delete(model, name)
-		default: // upsert (restore / key move), with key collisions
+		case 2: // free-only change at the entry's current key
+			if e, ok := model[name]; ok {
+				ix.Set(name, 0, e.key, free)
+				model[name] = entry{e.key, free}
+			}
+		default: // set (restore / key move), with key and vector collisions
 			key := float64(rng.Intn(40)) / 40
-			ix.Upsert(name, key)
-			model[name] = key
+			ix.Set(name, 0, key, free)
+			model[name] = entry{key, free}
 		}
 		if op%97 != 0 {
 			continue
 		}
-		rebuilt := New()
+		rebuilt := NewFit()
 		// Insert in sorted order — any order must yield the same tree.
-		for _, e := range model.sorted() {
-			rebuilt.Upsert(e.name, e.key)
+		for _, n := range sorted() {
+			rebuilt.Set(n, 0, model[n].key, model[n].free)
 		}
-		if !structEqual(ix.root, rebuilt.root) {
-			t.Fatalf("op %d: churned treap shape diverged from rebuilt-from-scratch", op)
+		if !structEqual(ix, ix.root, rebuilt, rebuilt.root) {
+			t.Fatalf("op %d: churned treap diverged from rebuilt-from-scratch", op)
 		}
 	}
 	// And once more with a reversed insertion order, to pin that the
 	// shape is insertion-order independent.
-	entries := model.sorted()
-	rev := New()
-	for i := len(entries) - 1; i >= 0; i-- {
-		rev.Upsert(entries[i].name, entries[i].key)
+	names := sorted()
+	rev := NewFit()
+	for i := len(names) - 1; i >= 0; i-- {
+		rev.Set(names[i], 0, model[names[i]].key, model[names[i]].free)
 	}
-	if !structEqual(ix.root, rev.root) {
+	if !structEqual(ix, ix.root, rev, rev.root) {
 		t.Fatal("reverse-order rebuild diverged: treap shape depends on insertion order")
 	}
 }

@@ -10,9 +10,13 @@
 // The manager keeps two incremental indexes (capindex) per priority
 // partition, maintained together under one dirty-flag discipline:
 //
-//   - the surplus index, keyed by dominant free share, answering the
-//     tightest-fit "who can host this with no deflation" query in
-//     O(log servers);
+//   - the surplus index, keyed by dominant free share and augmented
+//     with each subtree's maximum free vector, answering the
+//     tightest-fit "who can host this with no deflation" query by a
+//     descent that skips every subtree no server of which can hold the
+//     VM — O(log servers) node touches unless the servers that fail the
+//     fit are short on different dimensions (see
+//     surplusCandidateLocked);
 //   - the pressure index, keyed by |availability| — a demand-independent
 //     upper bound on any VM's achievable cosine fitness (Cauchy–
 //     Schwarz: A·D/|D| <= |A| for non-negative vectors) — answering the
@@ -526,10 +530,8 @@ func (m *Manager) AddServerSpec(spec ServerSpec) (*Server, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	name, capacity := spec.Name, spec.Capacity
-	for _, s := range m.servers {
-		if s.Host.Name() == name {
-			return nil, fmt.Errorf("%w: server %s", ErrExists, name)
-		}
+	if _, ok := m.byName[name]; ok {
+		return nil, fmt.Errorf("%w: server %s", ErrExists, name)
 	}
 	h, err := hypervisor.NewHost(hypervisor.HostConfig{Name: name, Capacity: capacity})
 	if err != nil {
@@ -555,7 +557,7 @@ func (m *Manager) AddServerSpec(spec ServerSpec) (*Server, error) {
 	pp.servers = append(pp.servers, s)
 	key := m.poolKey(partition, band)
 	if pp.indexes[key] == nil {
-		pp.indexes[key] = capindex.New()
+		pp.indexes[key] = capindex.NewFit()
 		pp.bounds[key] = capindex.New()
 	}
 	pp.maxCap[key] = pp.maxCap[key].Max(capacity)
@@ -835,16 +837,6 @@ func (c candList) Swap(i, j int) { c[i], c[j] = c[j], c[i] }
 // bit-identical or partitioned placement diverges from sequential.
 func (c candList) Less(i, j int) bool { return candBefore(c[i], c[j]) }
 
-// surplusCandidateLocked returns the tightest-fit server that can host
-// size without any deflation — the server with the smallest (dominant
-// free share, name) among those whose free vector fits size, or the
-// smallest (hazard band, free share, name) for banded VMs — or nil.
-// The indexed path asks every placement partition's ordered index for
-// its first fitting entry (ascending from a partition-local
-// demand-share lower bound, so each scan inspects O(log S) plus however
-// many near-full servers fit on the dominant dimension but not the
-// others) and takes the minimum across partitions; the reference path
-// scans every server and applies the identical minimisation.
 // surplusCandidateTimedLocked is surplusCandidateLocked under the
 // surplus sub-phase timer: the serial placement paths (sequential and
 // commit) call through it so BENCH artifacts can attribute commit time
@@ -860,6 +852,22 @@ func (m *Manager) surplusCandidateTimedLocked(pool int, size resources.Vector, b
 	return s
 }
 
+// surplusCandidateLocked returns the tightest-fit server that can host
+// size without any deflation — the server with the smallest (dominant
+// free share, name) among those whose free vector fits size, or the
+// smallest (hazard band, free share, name) for banded VMs — or nil.
+// The indexed path asks every placement partition's surplus index for
+// its first fitting entry (FirstFit, ascending from a partition-local
+// demand-share lower bound and skipping every subtree whose maximum free
+// vector cannot hold size) and takes the minimum across partitions.
+// When the servers that pass the dominant-share bound but fail the fit
+// are short on a common dimension, each index query touches O(log S)
+// nodes; when they are short on different dimensions (CPU-full and
+// memory-full servers interleaved in key order) the subtree maxima
+// prune less and the query can touch up to every entry above the
+// bound, as a walk testing each entry in order would. The returned
+// ref is the server's add order, so no name is looked up. The reference
+// path scans every server and applies the identical minimisation.
 func (m *Manager) surplusCandidateLocked(pool int, size resources.Vector, banded bool) *Server {
 	if m.cfg.ReferencePlacement {
 		var best *Server
@@ -887,13 +895,10 @@ func (m *Manager) surplusCandidateLocked(pool int, size resources.Vector, banded
 		}
 		return best
 	}
-	fits := func(n string) bool {
-		return size.FitsIn(m.byName[n].free)
-	}
 	if banded {
 		// Bands ascending, first band with any fit wins: the global
-		// (band, free share, name) minimum, since each band's MinFitting
-		// is that band's (free share, name) minimum across partitions.
+		// (band, free share, name) minimum, since each band's MinFit is
+		// that band's (free share, name) minimum across partitions.
 		for band := 0; band < m.nBands; band++ {
 			key := m.poolKey(pool, band)
 			ixs, lows := m.mfIdx[:0], m.mfLow[:0]
@@ -906,8 +911,8 @@ func (m *Manager) surplusCandidateLocked(pool int, size resources.Vector, banded
 				ixs, lows = append(ixs, ix), append(lows, lower)
 			}
 			m.mfIdx, m.mfLow = ixs, lows
-			if name, _, ok := capindex.MinFitting(ixs, lows, fits); ok {
-				return m.byName[name]
+			if ref, ok := capindex.MinFit(ixs, lows, size); ok {
+				return m.servers[ref]
 			}
 		}
 		return nil
@@ -915,7 +920,7 @@ func (m *Manager) surplusCandidateLocked(pool int, size resources.Vector, banded
 	// Any fitting server's free share is at least the demand's dominant
 	// share of its index's largest capacity (minus float fuzz), so each
 	// index prunes everything below its own bound. All of the pool's
-	// band indexes join one MinFitting: band-blind (free share, name).
+	// band indexes join one MinFit: band-blind (free share, name).
 	ixs, lows := m.mfIdx[:0], m.mfLow[:0]
 	for _, p := range m.parts {
 		for band := 0; band < m.nBands; band++ {
@@ -929,17 +934,21 @@ func (m *Manager) surplusCandidateLocked(pool int, size resources.Vector, banded
 		}
 	}
 	m.mfIdx, m.mfLow = ixs, lows
-	name, _, ok := capindex.MinFitting(ixs, lows, fits)
+	ref, ok := capindex.MinFit(ixs, lows, size)
 	if !ok {
 		return nil
 	}
-	return m.byName[name]
+	return m.servers[ref]
 }
 
 // anyFitsLocked reports whether any server in the cluster (regardless
 // of priority pool or hazard band) can host size with no deflation,
-// from the live partition indexes. Order-independent: it is an
-// existence check, so the random map iteration is fine.
+// from the live partition indexes. Each index answers "no" from its
+// root's maximum free vector alone when that cannot hold size; a "yes"
+// still takes the pruned FirstFit descent, because the root maximum
+// mixes dimensions of different servers and can hold size when no
+// single server does. Order-independent: it is an existence check, so
+// the random map iteration is fine.
 func (m *Manager) anyFitsLocked(size resources.Vector) bool {
 	if m.cfg.ReferencePlacement {
 		for _, s := range m.servers {
@@ -955,9 +964,7 @@ func (m *Manager) anyFitsLocked(size resources.Vector) bool {
 	for _, p := range m.parts {
 		for key, ix := range p.indexes {
 			lower := size.DominantShare(p.maxCap[key]) - fitMargin
-			if _, _, ok := ix.FirstFitting(lower, func(n string) bool {
-				return size.FitsIn(m.byName[n].free)
-			}); ok {
+			if _, ok := ix.FirstFit(lower, size); ok {
 				return true
 			}
 		}
@@ -967,9 +974,12 @@ func (m *Manager) anyFitsLocked(size resources.Vector) bool {
 
 // FitsWithoutDeflation reports whether any server in the cluster
 // (regardless of priority pool) can host size with no deflation. With
-// the capacity indexes the check is O(partitions × pools × log S)
-// instead of a full scan. Batch placements report the same signal
-// per VM through Placement.NeedsReclaim.
+// the capacity indexes it is one pruned FirstFit descent per
+// (partition, pool, band) index instead of a full scan: a miss costs one
+// root read per index, a hit O(log S) touches when the non-fitting
+// servers share a short dimension (see surplusCandidateLocked). Batch
+// placements report the same signal per VM through
+// Placement.NeedsReclaim.
 func (m *Manager) FitsWithoutDeflation(size resources.Vector) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -203,6 +203,27 @@ func TestPlacementPartitionsMatchReferencePriorityPools(t *testing.T) {
 	}, 12, 400)
 }
 
+// TestIndexedPlacementMatchesReferenceMixedCapacity churns a fleet of
+// three server shapes — full, half-size and memory-heavy, as in a
+// stable/spot portfolio — so many servers pass an index's dominant-share
+// bound yet fail the fit on another dimension, and the surplus descent
+// prunes subtrees by their maximum free vectors on every arrival. Its
+// placements must match the brute-force reference bit for bit, in one
+// partition and across two.
+func TestIndexedPlacementMatchesReferenceMixedCapacity(t *testing.T) {
+	shapes := []resources.Vector{serverCap(), serverCap().Scale(0.5), resources.CPUMem(16, 196608)}
+	for _, partitions := range []int{1, 2} {
+		t.Run(fmt.Sprintf("partitions=%d", partitions), func(t *testing.T) {
+			runDifferentialChurnSpecs(t, 51, Config{
+				Policy:              policy.Proportional{},
+				PlacementPartitions: partitions,
+			}, 15, 500, func(i int, _ *Manager) ServerSpec {
+				return ServerSpec{Name: fmt.Sprintf("node-%03d", i), Capacity: shapes[i%len(shapes)]}
+			})
+		})
+	}
+}
+
 func min(a, b int) int {
 	if a < b {
 		return a

@@ -65,7 +65,7 @@ type placePartition struct {
 	surplus []*Server // per-VM surplus bid (nil: none in this partition)
 
 	// Band-blind surplus scratch: the pool's per-band indexes and lower
-	// bounds joined into one MinFitting (only with Config.Risk, where a
+	// bounds joined into one MinFit (only with Config.Risk, where a
 	// pool spans several band indexes).
 	bandIdx []*capindex.Index
 	bandLow []float64
@@ -268,8 +268,8 @@ func (p *placePartition) refresh(m *Manager) {
 			p.indexes[key].Delete(name)
 			p.bounds[key].Delete(name)
 		} else {
-			p.indexes[key].Upsert(name, s.freeShare)
-			p.bounds[key].Upsert(name, boundKey(s.avail))
+			p.indexes[key].Set(name, s.gidx, s.freeShare, s.free)
+			p.bounds[key].Set(name, s.gidx, boundKey(s.avail), resources.Vector{})
 		}
 	}
 }
@@ -315,13 +315,11 @@ func (p *placePartition) surplusKey(m *Manager, key int, size resources.Vector) 
 		return nil
 	}
 	lower := size.DominantShare(p.maxCap[key]) - fitMargin
-	name, _, ok := ix.FirstFitting(lower, func(n string) bool {
-		return size.FitsIn(m.byName[n].free)
-	})
+	ref, ok := ix.FirstFit(lower, size)
 	if !ok {
 		return nil
 	}
-	return m.byName[name]
+	return m.servers[ref]
 }
 
 // surplusLocal answers the partition's tightest-fit surplus query for a
@@ -341,7 +339,7 @@ func (p *placePartition) surplusLocal(m *Manager, pool int, size resources.Vecto
 	if m.nBands == 1 {
 		return p.surplusKey(m, pool, size)
 	}
-	// Band-blind with several band indexes per pool: one MinFitting over
+	// Band-blind with several band indexes per pool: one MinFit over
 	// the pool's bands gives the (free share, name) minimum.
 	ixs, lows := p.bandIdx[:0], p.bandLow[:0]
 	for band := 0; band < m.nBands; band++ {
@@ -354,13 +352,11 @@ func (p *placePartition) surplusLocal(m *Manager, pool int, size resources.Vecto
 		ixs, lows = append(ixs, ix), append(lows, lower)
 	}
 	p.bandIdx, p.bandLow = ixs, lows
-	name, _, ok := capindex.MinFitting(ixs, lows, func(n string) bool {
-		return size.FitsIn(m.byName[n].free)
-	})
+	ref, ok := capindex.MinFit(ixs, lows, size)
 	if !ok {
 		return nil
 	}
-	return m.byName[name]
+	return m.servers[ref]
 }
 
 // proposeSurplus records, for every VM of the batch, this partition's

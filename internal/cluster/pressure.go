@@ -257,8 +257,8 @@ func (m *Manager) pressureScanGroupLocked(dc hypervisor.DomainConfig, best *Serv
 		if hit || expand < 0 {
 			break
 		}
+		s := m.servers[iters[expand].Ref()]
 		iters[expand].Next()
-		s := m.byName[maxName]
 		if cannotReclaim(s, dc, ncRange) {
 			continue // fit-skip: counted as pruned, never scored
 		}
