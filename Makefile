@@ -21,13 +21,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Focused race shard over the partitioned propose/commit placement path
-# and the revocation churn suite: the phase workers, batch commits,
-# parallel dirty sync, capacity-shock evacuations, the risk-aware
-# (hazard-banded + headroom-gated) placement paths and the engines
-# driving them — a fast, explicit signal beside the full `race` run.
+# Focused race shard over the concurrent paths around placement: the
+# sharded sample pass and sharded reinflation (with their buffered
+# notifications and dirty marks), concurrent manager and engine use,
+# batch placement, capacity-shock evacuations and the revocation churn
+# suite, the risk-aware (hazard-banded + headroom-gated) placement
+# paths and the pressure descent — a fast, explicit signal beside the
+# full `race` run.
 race-placement:
-	$(GO) test -race -run 'Partition|PlaceVMs|Propose|Sharded|Preemption|Revo|Shock|Resize|Risk|Hazard|Headroom|Pressure' ./internal/cluster ./internal/clustersim
+	$(GO) test -race -run 'PlaceVMs|Sharded|Shards|Concurrent|Preemption|Revo|Shock|Resize|Risk|Hazard|Headroom|Pressure' ./internal/cluster ./internal/clustersim
 
 # Bounded native fuzzing of the capacity index package: the dirty set
 # and the surplus index against their map oracles. -fuzz takes one
@@ -43,8 +45,9 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'Sweep10k' -benchtime 1x .
 
 # Zero-allocation gate: the steady-state PlaceOn/Reinflate policy pass,
-# the partitioned batch-propose pass (risk-blind AND hazard-banded with
-# the headroom gate active), the SLO-metered sample pass (closed-form
+# the surplus query with its dirty sync and existence check (risk-blind
+# AND hazard-banded with the headroom gate active), the bound-pruned
+# pressure scan, the SLO-metered sample pass (closed-form
 # queueing math included), the calendar event queue's steady-state
 # churn, the dirty-set drain of a 4096-server fleet AND the 4096-entry
 # surplus index's key moves, free-only updates and FirstFit queries must
@@ -54,11 +57,11 @@ bench-smoke:
 # benchmark fails the build instead of shrinking the gate. The
 # benchmark output is kept in BENCH_allocs.txt for CI to archive.
 bench-allocs:
-	$(GO) test -run '^$$' -bench 'PolicyPassSteadyState|ProposeSteadyState|RiskProposeSteadyState|PressureScan' -benchmem ./internal/cluster | tee BENCH_allocs.txt
+	$(GO) test -run '^$$' -bench 'PolicyPassSteadyState|SurplusSteadyState|RiskSurplusSteadyState|PressureScan' -benchmem ./internal/cluster | tee BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'SamplePassSLOSteadyState|CalendarQueueSteadyState' -benchmem ./internal/clustersim | tee -a BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'DirtySetDrain|IndexSet|FirstFit' -benchmem ./internal/cluster/capindex | tee -a BENCH_allocs.txt
-	@awk 'BEGIN { want["BenchmarkPolicyPassSteadyState"]; want["BenchmarkProposeSteadyState"]; \
-			want["BenchmarkRiskProposeSteadyState"]; want["BenchmarkPressureScan"]; \
+	@awk 'BEGIN { want["BenchmarkPolicyPassSteadyState"]; want["BenchmarkSurplusSteadyState"]; \
+			want["BenchmarkRiskSurplusSteadyState"]; want["BenchmarkPressureScan"]; \
 			want["BenchmarkSamplePassSLOSteadyState"]; want["BenchmarkCalendarQueueSteadyState"]; \
 			want["BenchmarkDirtySetDrain"]; want["BenchmarkIndexSet"]; want["BenchmarkFirstFit"] } \
 		/^Benchmark/ && $$(NF) == "allocs/op" { name = $$1; sub(/-[0-9]+$$/, "", name); \
@@ -66,16 +69,16 @@ bench-allocs:
 				if (allocs > 0) { failed = 1; print "FAIL: " name " allocates " allocs " allocs/op (want 0)" } } } \
 		END { for (n in want) if (!(n in seen)) { failed = 1; print "FAIL: benchmark " n " missing from output" } \
 		if (failed) exit 1; \
-		print "OK: policy + propose (risk-blind + risk-aware) + pressure scan + SLO sample + calendar queue + dirty-set drain + surplus index set/query steady states at 0 allocs/op" }' BENCH_allocs.txt
+		print "OK: policy + surplus (risk-blind + risk-aware) + pressure scan + SLO sample + calendar queue + dirty-set drain + surplus index set/query steady states at 0 allocs/op" }' BENCH_allocs.txt
 
-# Cloud-scale single-run smoke: one 50k-VM deflation run through the
-# capacity-indexed manager (sharded across all cores), reported to
+# Cloud-scale single-run smoke: one sequential 50k-VM deflation run
+# through the capacity-indexed manager, reported to
 # BENCH_scale.json so the perf trajectory is tracked PR-over-PR.
 bench-scale:
 	$(GO) run ./cmd/benchreport -scale 50000 -scaleout BENCH_scale.json
 
 # The 1M-VM point: an order of magnitude past the CI smoke, for
-# measuring the zero-alloc + sharded engine at full cloud scale.
+# measuring the zero-alloc sequential engine at full cloud scale.
 bench-scale-1m:
 	$(GO) run ./cmd/benchreport -scale 1000000 -scaleout BENCH_scale_1m.json
 
@@ -88,8 +91,8 @@ bench-scale-1m:
 bench-scale-10m:
 	$(GO) run ./cmd/benchreport -scale 10000000 -stream -scaleout BENCH_scale_10m.json
 
-# Measured multi-core matrix: GOMAXPROCS x shards x partitions with
-# per-phase wall times (propose/commit/sample/reinflate) and peak heap,
+# Measured multi-core matrix: GOMAXPROCS x shards with per-phase wall
+# times (commit/sample/reinflate) and peak heap,
 # plus aggregate throughput from concurrent share-nothing runs. Fails
 # on machines with >= 4 cores unless aggregate throughput scales.
 bench-matrix:

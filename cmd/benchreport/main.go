@@ -9,8 +9,8 @@
 //	benchreport -quick     # smaller traces / shorter runs
 //	benchreport -scale 50000                 # cloud-scale single-run smoke
 //	benchreport -scale 50000 -scaleout BENCH_scale.json
-//	benchreport -scale 1000000               # the 1M-VM point (sharded + partitioned)
-//	benchreport -scale 100000 -shards 1 -partitions 1   # force a sequential run
+//	benchreport -scale 1000000               # the 1M-VM point
+//	benchreport -scale 100000 -shards 0      # shard sample/reinflation across all cores
 //	benchreport -scale 50000 -scenario bursty           # a different workload shape
 //	benchreport -scale 50000 -shocks poisson -scaleout BENCH_revocation.json
 //	                                # revocation churn: transient servers revoked and
@@ -23,7 +23,7 @@
 //	                                # the eager generator would allocate)
 //	benchreport -matrix 100000 -matrixout BENCH_matrix.json
 //	                                # measured multi-core matrix: GOMAXPROCS x
-//	                                # shards x partitions with per-phase wall times
+//	                                # shards with per-phase wall times
 //	benchreport -risk 4000 -riskout BENCH_risk.json
 //	                                # revocation-risk frontier: portfolio server
 //	                                # mixes run risk-blind vs risk-aware (hazard-
@@ -37,10 +37,10 @@
 //	                                # artifact)
 //
 // The -scale mode runs one deflation-mode simulation at the given VM
-// count through the capacity-indexed manager — with the sample/
-// reinflation passes sharded and arrival placement partitioned across
-// all cores by default (results are invariant to both counts) — and
-// writes a small JSON report (wall time, arrivals/s, admission counts,
+// count through the capacity-indexed manager — sequential by default,
+// the configuration the repository benchmark runs; -shards N shards
+// the sample/reinflation passes (results are invariant to the shard
+// count) — and writes a small JSON report (wall time, arrivals/s, admission counts,
 // peak heap, per-phase wall times) for CI to archive, so the perf
 // trajectory is tracked PR-over-PR. With -stream the trace is never
 // materialised: VM parameters generate at arrival and utilisation
@@ -76,7 +76,6 @@ type scaleReport struct {
 	Servers       int                `json:"servers"`
 	Overcommit    float64            `json:"overcommit"`
 	Shards        int                `json:"shards"`
-	Partitions    int                `json:"partitions"`
 	GoMaxProcs    int                `json:"gomaxprocs"`
 	WallSeconds   float64            `json:"wall_seconds"`
 	TraceSeconds  float64            `json:"trace_gen_seconds"`
@@ -167,13 +166,12 @@ func (w *heapWatcher) Stop() uint64 {
 }
 
 // phaseSeconds converts engine phase timings to the JSON map form.
-// surplus and pressure are serial sub-phases of commit (they are
-// included in, not additional to, the commit figure): surplus is the
+// surplus and pressure are sub-phases of commit (they are included in,
+// not additional to, the commit figure): surplus is the
 // capacity-indexed first-fit pass, pressure the bound-pruned
 // under-pressure descent.
 func phaseSeconds(pt clustersim.PhaseTimings) map[string]float64 {
 	return map[string]float64{
-		"propose":   pt.Propose.Seconds(),
 		"commit":    pt.Commit.Seconds(),
 		"surplus":   pt.Surplus.Seconds(),
 		"pressure":  pt.Pressure.Seconds(),
@@ -185,28 +183,20 @@ func phaseSeconds(pt clustersim.PhaseTimings) map[string]float64 {
 // runScale executes the cloud-scale single-run smoke: one trace of n
 // VMs of the named scenario, cluster sized by the cheap peak-demand
 // bound, one indexed deflation run with the sample/reinflation passes
-// sharded across `shards` goroutines and arrival placement partitioned
-// across `partitions` placement partitions (0 = all cores; the Result
-// is identical at any shard and partition count), report written as
-// JSON.
-func runScale(n, shards, partitions int, scenario, shocks string, seed int64, outPath string, streamed bool) {
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	if partitions <= 0 {
-		partitions = runtime.GOMAXPROCS(0)
-	}
+// sharded across `shards` goroutines (the Result is identical at any
+// shard count), report written as JSON.
+func runScale(n, shards int, scenario, shocks string, seed int64, outPath string, streamed bool) {
 	mode := "eager"
 	if streamed {
 		mode = "streamed"
 	}
-	fmt.Printf("== scale smoke: %d-VM single deflation run (%s trace, %d shards, %d placement partitions, shocks: %s)\n",
-		n, mode, shards, partitions, shocks)
+	fmt.Printf("== scale smoke: %d-VM single deflation run (%s trace, %d shards, shocks: %s)\n",
+		n, mode, shards, shocks)
 	var timings clustersim.PhaseTimings
 	cfg := clustersim.Config{
 		Overcommit: 0.5,
-		Shards:     shards, PlacementPartitions: partitions,
-		Timings: &timings,
+		Shards:     shards,
+		Timings:    &timings,
 	}
 	t0 := time.Now()
 	var eagerEst, horizonEst uint64
@@ -279,7 +269,6 @@ func runScale(n, shards, partitions int, scenario, shocks string, seed int64, ou
 		Servers:       res.Servers,
 		Overcommit:    0.5,
 		Shards:        shards,
-		Partitions:    partitions,
 		GoMaxProcs:    runtime.GOMAXPROCS(0),
 		WallSeconds:   wall.Seconds(),
 		TraceSeconds:  genDur.Seconds(),
@@ -344,7 +333,6 @@ type pressureReport struct {
 	Servers           int     `json:"servers"`
 	Overcommit        float64 `json:"overcommit"`
 	Shards            int     `json:"shards"`
-	Partitions        int     `json:"partitions"`
 	GoMaxProcs        int     `json:"gomaxprocs"`
 	Admitted          int     `json:"admitted"`
 	Rejected          int     `json:"rejected"`
@@ -371,7 +359,7 @@ type pressureReport struct {
 // scan strategies — are zeroed, (b) the differential is non-vacuous
 // (pressured arrivals occurred and the bound index actually pruned),
 // and (c) the pruned run's wall clock is strictly lower. Both runs are
-// sequential (shards = partitions = 1) so the wall-clock comparison
+// sequential (shards = 1) so the wall-clock comparison
 // measures the scan algorithms, not scheduler noise.
 func runPressure(n int, scenario string, seed int64, outPath string) {
 	const overcommit = 0.75
@@ -390,7 +378,7 @@ func runPressure(n int, scenario string, seed int64, outPath string) {
 		t0 := time.Now()
 		res, err := clustersim.Run(clustersim.Config{
 			Trace: tr, Overcommit: overcommit, BaselineServers: base,
-			Shards: 1, PlacementPartitions: 1,
+			Shards:           1,
 			FullPressureScan: full,
 			Timings:          &timings,
 		})
@@ -414,7 +402,7 @@ func runPressure(n int, scenario string, seed int64, outPath string) {
 
 	rep := pressureReport{
 		VMs: n, Scenario: scenario, Servers: pruned.Servers,
-		Overcommit: overcommit, Shards: 1, Partitions: 1,
+		Overcommit: overcommit, Shards: 1,
 		GoMaxProcs:        runtime.GOMAXPROCS(0),
 		Admitted:          pruned.Admitted,
 		Rejected:          pruned.Rejected,
@@ -460,8 +448,8 @@ func runPressure(n int, scenario string, seed int64, outPath string) {
 }
 
 // matrixPoint is one grid point of BENCH_matrix.json. Intra points run
-// ONE simulation with the sample/reinflate shards and placement
-// partitions set to the core budget — measuring how far a single run's
+// ONE simulation with the sample/reinflate shards set to the core
+// budget — measuring how far a single run's
 // internal parallelism scales. Aggregate points run `gomaxprocs`
 // independent share-nothing sequential simulations concurrently (the
 // sweep pattern) — measuring machine throughput, which is the axis that
@@ -470,7 +458,6 @@ type matrixPoint struct {
 	GoMaxProcs    int                `json:"gomaxprocs"`
 	Mode          string             `json:"mode"` // "intra" or "aggregate"
 	Shards        int                `json:"shards"`
-	Partitions    int                `json:"partitions"`
 	Runs          int                `json:"runs"`
 	WallSeconds   float64            `json:"wall_seconds"`
 	ArrivalsPerS  float64            `json:"arrivals_per_sec"`
@@ -490,8 +477,8 @@ type matrixReport struct {
 }
 
 // runMatrix measures the multi-core scaling matrix: for each GOMAXPROCS
-// in {1, 2, 4, ... NumCPU}, one intra-parallel run (shards = partitions
-// = cores, with per-phase wall times) and one aggregate point (cores
+// in {1, 2, 4, ... NumCPU}, one intra-parallel run (shards = cores,
+// with per-phase wall times) and one aggregate point (cores
 // concurrent sequential runs over the shared stream). All runs share
 // one Stream — traces are pure functions of (config, index), so the
 // shared read-only stream is what makes n concurrent runs cheap. Exits
@@ -529,14 +516,14 @@ func runMatrix(n int, scenario string, seed int64, outPath string) {
 		t1 := time.Now()
 		res, err := clustersim.Run(clustersim.Config{
 			Stream: s, Overcommit: 0.5, BaselineServers: base,
-			Shards: g, PlacementPartitions: g, Timings: &timings,
+			Shards: g, Timings: &timings,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		wall := time.Since(t1)
 		pt := matrixPoint{
-			GoMaxProcs: g, Mode: "intra", Shards: g, Partitions: g, Runs: 1,
+			GoMaxProcs: g, Mode: "intra", Shards: g, Runs: 1,
 			WallSeconds:   wall.Seconds(),
 			ArrivalsPerS:  float64(res.Arrivals) / wall.Seconds(),
 			PeakHeapBytes: hw.Stop(),
@@ -547,8 +534,8 @@ func runMatrix(n int, scenario string, seed int64, outPath string) {
 		}
 		pt.Speedup = pt.ArrivalsPerS / intraBase
 		rep.Points = append(rep.Points, pt)
-		fmt.Printf("gmp=%2d intra     %8.0f arrivals/s  speedup %.2fx  (propose %.2fs commit %.2fs sample %.2fs reinflate %.2fs)\n",
-			g, pt.ArrivalsPerS, pt.Speedup, timings.Propose.Seconds(), timings.Commit.Seconds(),
+		fmt.Printf("gmp=%2d intra     %8.0f arrivals/s  speedup %.2fx  (commit %.2fs sample %.2fs reinflate %.2fs)\n",
+			g, pt.ArrivalsPerS, pt.Speedup, timings.Commit.Seconds(),
 			timings.Sample.Seconds(), timings.Reinflate.Seconds())
 
 		// Aggregate: g share-nothing sequential runs, concurrently.
@@ -561,7 +548,7 @@ func runMatrix(n int, scenario string, seed int64, outPath string) {
 			go func() {
 				r, err := clustersim.Run(clustersim.Config{
 					Stream: s, Overcommit: 0.5, BaselineServers: base,
-					Shards: 1, PlacementPartitions: 1,
+					Shards: 1,
 				})
 				if err != nil {
 					errCh <- err
@@ -580,7 +567,7 @@ func runMatrix(n int, scenario string, seed int64, outPath string) {
 		}
 		wall = time.Since(t1)
 		apt := matrixPoint{
-			GoMaxProcs: g, Mode: "aggregate", Shards: 1, Partitions: 1, Runs: g,
+			GoMaxProcs: g, Mode: "aggregate", Shards: 1, Runs: g,
 			WallSeconds:   wall.Seconds(),
 			ArrivalsPerS:  float64(arrivals) / wall.Seconds(),
 			PeakHeapBytes: hw.Stop(),
@@ -666,7 +653,7 @@ type sloReport struct {
 // deficit events where every policy is driven near the deflation
 // floors, so individual shocked points carry placement noise; the calm
 // frontier is where the policies actually plan, and is gated strictly.)
-func runSLO(n, shards, partitions int, scenario string, seed int64, outPath string) {
+func runSLO(n, shards int, scenario string, seed int64, outPath string) {
 	fmt.Printf("== SLO frontier smoke: %d-VM %s trace, proportional vs latency-aware\n", n, scenario)
 	hw := watchHeap()
 	t0 := time.Now()
@@ -684,10 +671,9 @@ func runSLO(n, shards, partitions int, scenario string, seed int64, outPath stri
 	var calmMissed, shockDominated, shockTotal int
 	for _, shocks := range []string{"none", "poisson"} {
 		opts := clustersim.Options{
-			BaselineServers:     base,
-			Shards:              shards,
-			PlacementPartitions: partitions,
-			SLO:                 &clustersim.SLOConfig{MaxSlowdown: rep.MaxSlowdown},
+			BaselineServers: base,
+			Shards:          shards,
+			SLO:             &clustersim.SLOConfig{MaxSlowdown: rep.MaxSlowdown},
 		}
 		if shocks != "none" {
 			opts.ShockConfig = &trace.ShockConfig{
@@ -834,7 +820,7 @@ const riskHeadroomScale = 0.5
 // the portfolio's fleet cost falls monotonically as the spot share
 // grows — the cost-savings vs shock-kill frontier the paper's
 // transient-server economics rest on.
-func runRisk(n, shards, partitions int, scenario string, seed int64, outPath string) {
+func runRisk(n, shards int, scenario string, seed int64, outPath string) {
 	fmt.Printf("== risk frontier smoke: %d-VM %s trace, risk-blind vs risk-aware across portfolio mixes\n", n, scenario)
 	hw := watchHeap()
 	t0 := time.Now()
@@ -868,12 +854,11 @@ func runRisk(n, shards, partitions int, scenario string, seed int64, outPath str
 			{Name: "spot", Fraction: mix.spot, PriceFactor: 0.35, ShockRateScale: 2},
 		}
 		opts := clustersim.Options{
-			BaselineServers:     base,
-			Shards:              shards,
-			PlacementPartitions: partitions,
-			ShockConfig:         &trace.ShockConfig{Kind: trace.ShockRack, RatePerDay: 2, OutageMean: 2 * 3600, Seed: seed},
-			SLO:                 &clustersim.SLOConfig{MaxSlowdown: 2},
-			Portfolio:           portfolio,
+			BaselineServers: base,
+			Shards:          shards,
+			ShockConfig:     &trace.ShockConfig{Kind: trace.ShockRack, RatePerDay: 2, OutageMean: 2 * 3600, Seed: seed},
+			SLO:             &clustersim.SLOConfig{MaxSlowdown: 2},
+			Portfolio:       portfolio,
 		}
 		blindRes, err := clustersim.SweepGrid(tr, []string{clustersim.StrategyPriority}, ocs, opts)
 		if err != nil {
@@ -973,8 +958,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	scale := flag.Int("scale", 0, "run only the cloud-scale single-run smoke at this VM count")
 	scaleOut := flag.String("scaleout", "BENCH_scale.json", "where -scale writes its JSON report")
-	shards := flag.Int("shards", 0, "intra-run shard count for -scale (0 = all cores, 1 = sequential)")
-	partitions := flag.Int("partitions", 0, "placement partitions for -scale (0 = all cores, 1 = sequential)")
+	shards := flag.Int("shards", 1, "intra-run shard count for -scale, -slo and -risk (1 = sequential, 0 = all cores)")
 	scenario := flag.String("scenario", "heavytail", "scenario for -scale: azure, diurnal, bursty or heavytail")
 	shocks := flag.String("shocks", "none", "capacity-shock scenario for -scale: none, poisson, diurnal or rack")
 	slo := flag.Int("slo", 0, "run only the SLO frontier smoke (proportional vs latency-aware) at this VM count")
@@ -987,13 +971,16 @@ func main() {
 	pressure := flag.Int("pressure", 0, "run only the pressure-index differential perf gate (bound-pruned vs full linear scan) at this VM count")
 	pressureOut := flag.String("pressureout", "BENCH_pressure.json", "where -pressure writes its JSON report")
 	flag.Parse()
+	if *shards <= 0 {
+		*shards = runtime.GOMAXPROCS(0)
+	}
 
 	if *matrix > 0 {
 		runMatrix(*matrix, *scenario, *seed, *matrixOut)
 		return
 	}
 	if *scale > 0 {
-		runScale(*scale, *shards, *partitions, *scenario, *shocks, *seed, *scaleOut, *stream)
+		runScale(*scale, *shards, *scenario, *shocks, *seed, *scaleOut, *stream)
 		return
 	}
 	if *slo > 0 {
@@ -1006,11 +993,11 @@ func main() {
 				scn = *scenario
 			}
 		})
-		runSLO(*slo, *shards, *partitions, scn, *seed, *sloOut)
+		runSLO(*slo, *shards, scn, *seed, *sloOut)
 		return
 	}
 	if *risk > 0 {
-		runRisk(*risk, *shards, *partitions, *scenario, *seed, *riskOut)
+		runRisk(*risk, *shards, *scenario, *seed, *riskOut)
 		return
 	}
 	if *pressure > 0 {

@@ -454,7 +454,7 @@ func (ix *Index) FirstFit(lower float64, size resources.Vector) (ref int, ok boo
 // exactly the entry a single combined index would have returned, because
 // each index's first fitting entry is its minimum fitting entry and the
 // (key, name) order is a total order over disjoint name sets. Nil
-// indexes (a pool absent from a partition) are skipped.
+// indexes (a key no server has) are skipped.
 func minAcross(indexes []*Index, first func(i int, ix *Index) int32) (*Index, int32) {
 	var best *Index
 	bestSlot := none
@@ -473,10 +473,11 @@ func minAcross(indexes []*Index, first func(i int, ix *Index) int32) (*Index, in
 	return best, bestSlot
 }
 
-// MinFit is the merged best-of-partitions surplus query: each index
-// answers FirstFit for its own entries (with its own lower bound, so
-// every partition prunes by its own largest capacity), and the global
-// winner is the minimum (key, name) across them. It returns the winner's
+// MinFit is the merged surplus query over disjoint indexes (one pool's
+// hazard-band indexes): each index answers FirstFit for its own entries
+// (with its own lower bound, so every index prunes by its own largest
+// capacity), and the global winner is the minimum (key, name) across
+// them. It returns the winner's
 // ref. Every non-nil index must come from NewFit.
 func MinFit(indexes []*Index, lowers []float64, size resources.Vector) (ref int, ok bool) {
 	best, slot := minAcross(indexes, func(i int, ix *Index) int32 {

@@ -169,8 +169,8 @@ func TestFirstFitting(t *testing.T) {
 	}
 }
 
-// TestMinFitting pins the merged best-of-partitions queries: the global
-// (key, name) minimum across per-partition answers, each with its own
+// TestMinFitting pins the merged queries over disjoint indexes: the
+// global (key, name) minimum across per-index answers, each with its own
 // lower bound, equal to what one combined index would return — for the
 // predicate form MinFitting and for the pruned MinFit alike.
 func TestMinFitting(t *testing.T) {
@@ -211,7 +211,7 @@ func TestMinFitting(t *testing.T) {
 			t.Fatalf("trial %d: MinFit = %d %v, combined FirstFitting = %q %v", trial, ref, ok, wn, wok)
 		}
 	}
-	// Nil indexes (a pool absent from a partition) are skipped.
+	// Nil indexes (a key no server has) are skipped.
 	if _, _, ok := MinFitting([]*Index{nil, nil}, []float64{0, 0}, func(string) bool { return true }); ok {
 		t.Fatal("MinFitting over nil indexes should miss")
 	}

@@ -7,8 +7,9 @@
 //
 // # Placement at scale
 //
-// The manager keeps two incremental indexes (capindex) per priority
-// partition, maintained together under one dirty-flag discipline:
+// The manager keeps two incremental indexes (capindex) per (priority
+// pool, hazard band), maintained together under one dirty-flag
+// discipline:
 //
 //   - the surplus index, keyed by dominant free share and augmented
 //     with each subtree's maximum free vector, answering the
@@ -32,12 +33,9 @@
 // rule and the differential test suite asserts they place bit-for-bit
 // identically.
 //
-// With Config.PlacementPartitions > 1 the servers are split across
-// placement partitions, each owning its own indexes, dirty set and
-// scratch arenas, and batch placements (PlaceVMs) run a parallel
-// propose / serial commit protocol whose results are bit-for-bit
-// identical at any partition count — see partition.go for the protocol
-// and its invariants.
+// Placement is one serial decision per VM, in call order: a PlaceVMs
+// batch (same-instant arrivals, an evacuation's displaced VMs) decides
+// exactly as the same sequence of PlaceVM calls would.
 package cluster
 
 import (
@@ -143,21 +141,10 @@ type Config struct {
 	// and published in the same deterministic first-touched server order
 	// the sequential path uses.
 	ReinflateShards int
-	// PlacementPartitions splits the servers across this many placement
-	// partitions (round-robin by add order), each owning its own
-	// capacity-index treaps, dirty set and propose arenas. Batch
-	// placements (PlaceVMs) then propose in parallel across partitions
-	// and commit serially in input order — see partition.go. 0 or 1
-	// keeps the fully sequential engine. Placement results, counters and
-	// notifications are bit-for-bit identical at any partition count
-	// (guarded by the differential suites); the knob trades propose
-	// parallelism against per-batch barrier overhead. Forced to 1 when
-	// ReferencePlacement is set.
-	PlacementPartitions int
-	// CollectTimings accumulates per-phase wall times
-	// (propose/commit/reinflate), readable through
-	// Manager.PhaseTimings. Off by default: the clock reads sit on the
-	// per-batch paths, and benchmarks should not pay for them unasked.
+	// CollectTimings accumulates per-phase wall times (commit/reinflate),
+	// readable through Manager.PhaseTimings. Off by default: the clock
+	// reads sit on the per-batch paths, and benchmarks should not pay
+	// for them unasked.
 	// Timing collection never influences any placement outcome.
 	CollectTimings bool
 	// Risk, when set, turns on the revocation-risk machinery: servers
@@ -220,11 +207,11 @@ type Server struct {
 	// partitioning is disabled.
 	Partition int
 	// gidx is the server's add order within its Manager — the canonical
-	// tie-break for equal-fitness candidates, stable across placement
-	// partition counts. Zero for standalone servers.
+	// tie-break for equal-fitness candidates and the ref its index
+	// entries carry. Zero for standalone servers.
 	gidx int
 	// revoked marks a server the provider took away (RevokeServers): it
-	// stays registered — keeping gidx and partition membership stable —
+	// stays registered — keeping gidx and priority pool stable —
 	// but leaves the capacity indexes and is skipped by every candidate
 	// scan until RestoreServer clears the flag. Guarded by the Manager's
 	// lock like the cached fields below.
@@ -281,12 +268,18 @@ type Manager struct {
 	byName     map[string]*Server
 	placements map[string]*Server
 
-	// Placement partitions: each owns, for its round-robin share of the
-	// servers, the per-priority-pool capacity indexes, the dirty set fed
-	// by its hosts' aggregate-change callbacks, and the propose/sync
-	// arenas of the parallel batch engine (partition.go). Always at
-	// least one.
-	parts []*placePartition
+	// Placement state, keyed by poolKey (priority pool × hazard band):
+	// the surplus indexes, their fitness-bound twins (pressure.go) and
+	// each key's component-wise max capacity, plus the dirty set the
+	// hosts' aggregate-change callbacks feed. bandIdx/bandLow are the
+	// band-blind surplus query's MinFit scratch (only with Config.Risk,
+	// where a pool spans several band indexes).
+	indexes map[int]*capindex.Index
+	bounds  map[int]*capindex.Index
+	maxCap  map[int]resources.Vector
+	dirty   *capindex.DirtySet
+	bandIdx []*capindex.Index
+	bandLow []float64
 
 	// Cluster-wide totals for O(1) Stats: capacity is exact (updated on
 	// AddServer); committed and allocated are delta-maintained from the
@@ -344,9 +337,8 @@ type Manager struct {
 	// how many arrivals fell through to the under-pressure ranking, how
 	// many servers had their exact fitness computed, and how many the
 	// bound/fit pruning skipped. pressuredArrivals is invariant across
-	// scan modes and partition/shard counts; scored and pruned are
-	// partition-invariant but differ between the pruned and full-scan
-	// modes by construction.
+	// scan modes and shard counts; scored and pruned differ between the
+	// pruned and full-scan modes by construction.
 	pressuredArrivals int
 	pressureScored    int
 	pressurePruned    int
@@ -355,36 +347,15 @@ type Manager struct {
 	// refreshed: a work counter for tests, which bound it exactly.
 	synced int
 
-	// Batch-placement state, reused across PlaceVMs calls and touched
-	// only under mu (the propose arenas live on the partitions). The
-	// touched set tracks servers mutated by earlier commits of the
-	// current batch — the conflict signal for proposal validation.
-	one         [1]hypervisor.DomainConfig
-	results     []Placement
-	batchDCs    []hypervisor.DomainConfig
-	batchPools  []int
-	batchBanded []bool
-	touched     map[*Server]bool
-	touchedList []*Server
-	foldHeads   []int
-	mfIdx       []*capindex.Index
-	mfLow       []float64
-
-	// Phase worker pool (partition.go): lazily spawned when there is
-	// more than one partition, stopped by Close. phase is the
-	// dispatcher-to-worker argument, ordered by the work channel.
-	phase  int
-	workCh chan int
-	wg     sync.WaitGroup
-	closed bool
+	// Placement results of the current PlaceVM/PlaceVMs call, reused
+	// across calls and touched only under mu.
+	one     [1]hypervisor.DomainConfig
+	results []Placement
 
 	// Per-phase wall-time accumulators (Config.CollectTimings), written
 	// under mu by the placement/reinflation paths. surplusTime and
-	// pressureTime are serial sub-phases included within commitTime —
-	// the surplus candidate queries and under-pressure scans of the
-	// sequential and commit paths (the parallel propose phase's surplus
-	// work is measured as proposeTime and never double-booked here).
-	proposeTime   time.Duration
+	// pressureTime are sub-phases included within commitTime — the
+	// surplus candidate queries and the under-pressure scans.
 	commitTime    time.Duration
 	surplusTime   time.Duration
 	pressureTime  time.Duration
@@ -392,15 +363,12 @@ type Manager struct {
 }
 
 // PhaseTimings is the per-phase wall-time breakdown a manager
-// accumulates when Config.CollectTimings is set: the parallel propose
-// phase, the serial commit walk (all serial placement time, on the
-// single-partition path as much as the batch engine), and the
-// reinflation passes. Surplus and Pressure attribute the commit time
-// further — the surplus candidate queries and the under-pressure scans
-// — and are included within Commit, not additional to it, so artifacts
-// compare like with like across partition counts.
+// accumulates when Config.CollectTimings is set: placement (Commit:
+// every PlaceVM/PlaceVMs decision) and the reinflation passes. Surplus
+// and Pressure attribute the commit time further — the surplus
+// candidate queries and the under-pressure scans — and are included
+// within Commit, not additional to it.
 type PhaseTimings struct {
-	Propose   time.Duration
 	Commit    time.Duration
 	Surplus   time.Duration
 	Pressure  time.Duration
@@ -413,7 +381,6 @@ func (m *Manager) PhaseTimings() PhaseTimings {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return PhaseTimings{
-		Propose:   m.proposeTime,
 		Commit:    m.commitTime,
 		Surplus:   m.surplusTime,
 		Pressure:  m.pressureTime,
@@ -425,9 +392,9 @@ func (m *Manager) PhaseTimings() PhaseTimings {
 // placements fell through to the pressure ranking, how many servers had
 // their exact fitness computed, and how many the bound/fit pruning
 // skipped without scoring. Arrivals is invariant across scan modes and
-// partition/shard counts; scored and pruned are partition-invariant but
-// differ between the pruned descent and the full-scan/reference modes
-// (a full scan scores every pool server and prunes none).
+// shard counts; scored and pruned differ between the pruned descent and
+// the full-scan/reference modes (a full scan scores every pool server
+// and prunes none).
 func (m *Manager) PressureStats() (arrivals, scored, pruned int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -469,32 +436,25 @@ func (m *Manager) HeadroomReserve() resources.Vector {
 // NewManager creates a manager with the given configuration.
 func NewManager(cfg Config) *Manager {
 	cfg.applyDefaults()
-	nParts := cfg.PlacementPartitions
-	if nParts < 1 || cfg.ReferencePlacement {
-		nParts = 1
-	}
 	nBands := 1
 	if cfg.Risk != nil {
 		nBands = cfg.Risk.MaxBands
 	}
-	m := &Manager{
+	return &Manager{
 		cfg:        cfg,
 		byName:     make(map[string]*Server),
 		placements: make(map[string]*Server),
-		parts:      make([]*placePartition, nParts),
+		indexes:    make(map[int]*capindex.Index),
+		bounds:     make(map[int]*capindex.Index),
+		maxCap:     make(map[int]resources.Vector),
+		dirty:      capindex.NewDirtySet(),
 		nBands:     nBands,
 	}
-	for i := range m.parts {
-		m.parts[i] = &placePartition{
-			id:      i,
-			indexes: make(map[int]*capindex.Index),
-			bounds:  make(map[int]*capindex.Index),
-			maxCap:  make(map[int]resources.Vector),
-			dirty:   capindex.NewDirtySet(),
-		}
-	}
-	return m
 }
+
+// Close is a no-op, kept so existing callers still build: the manager
+// owns no goroutines or other resources that need releasing.
+func (m *Manager) Close() {}
 
 // Config returns the manager's configuration.
 func (m *Manager) Config() Config { return m.cfg }
@@ -548,19 +508,15 @@ func (m *Manager) AddServerSpec(spec ServerSpec) (*Server, error) {
 	if band >= m.nBands {
 		band = m.nBands - 1
 	}
-	// Round-robin placement-partition assignment by add order: balanced,
-	// stable, and independent of anything the run computes.
-	pp := m.parts[len(m.servers)%len(m.parts)]
 	s := &Server{Host: h, Partition: partition, gidx: len(m.servers), band: band, reserveFrac: spec.ReserveFraction}
 	m.servers = append(m.servers, s)
 	m.byName[name] = s
-	pp.servers = append(pp.servers, s)
 	key := m.poolKey(partition, band)
-	if pp.indexes[key] == nil {
-		pp.indexes[key] = capindex.NewFit()
-		pp.bounds[key] = capindex.New()
+	if m.indexes[key] == nil {
+		m.indexes[key] = capindex.NewFit()
+		m.bounds[key] = capindex.New()
 	}
-	pp.maxCap[key] = pp.maxCap[key].Max(capacity)
+	m.maxCap[key] = m.maxCap[key].Max(capacity)
 	m.totCapacity = m.totCapacity.Add(capacity)
 	if s.reserveFrac > 0 {
 		s.reserve = capacity.Scale(s.reserveFrac)
@@ -568,8 +524,8 @@ func (m *Manager) AddServerSpec(spec ServerSpec) (*Server, error) {
 	}
 	// The callback only records dirtiness; the next query refreshes the
 	// server's index key, cached availability and the cluster totals.
-	h.OnAggregateChange(func() { pp.dirty.Mark(name) })
-	pp.dirty.Mark(name)
+	h.OnAggregateChange(func() { m.dirty.Mark(name) })
+	m.dirty.Mark(name)
 	return s, nil
 }
 
@@ -602,7 +558,7 @@ func (m *Manager) banded(dc hypervisor.DomainConfig) bool {
 // bypass the gate — the reserve exists precisely so they can land —
 // and so do the high-priority and non-deflatable VMs the reserve
 // protects. Reads only the canonical delta-maintained totals, so the
-// decision is bit-identical at any shard or partition count.
+// decision is bit-identical at any shard count.
 func (m *Manager) riskRejectLocked(dc hypervisor.DomainConfig) bool {
 	if m.cfg.Risk == nil || m.evacuating || m.reserve.IsZero() {
 		return false
@@ -685,8 +641,8 @@ func availabilityFrom(total resources.Vector, agg hypervisor.Aggregates) resourc
 // eps/capacity, far less than this margin.
 const fitMargin = 1e-7
 
-// errExists and errNoCapacity build the placement error values; one
-// definition keeps the sequential and batch paths' errors identical.
+// errExists, errNoCapacity and errHeadroom build the placement error
+// values.
 func errExists(name string) error {
 	return fmt.Errorf("%w: VM %s", ErrExists, name)
 }
@@ -705,14 +661,14 @@ type Placement struct {
 	Server *Server
 	Err    error
 	// Initial is the domain's allocation right after its own launch,
-	// before any later commit of the same batch could deflate it — what
-	// a caller placing VMs one at a time would have read back
+	// before any later placement of the same batch could deflate it —
+	// what a caller placing VMs one at a time would have read back
 	// immediately. Zero when Err is set.
 	Initial resources.Vector
 	// NeedsReclaim records whether, at the moment this VM's placement
-	// was decided (after every earlier commit of its batch), no server
-	// could host it without deflation — the signal the simulation engine
-	// counts as a reclamation attempt.
+	// was decided (after every earlier placement of its batch), no
+	// server could host it without deflation — the signal the
+	// simulation engine counts as a reclamation attempt.
 	NeedsReclaim bool
 }
 
@@ -740,15 +696,9 @@ func (m *Manager) PlaceVM(dc hypervisor.DomainConfig) (*hypervisor.Domain, *Serv
 
 // PlaceVMs places a batch of VMs exactly as if PlaceVM had been called
 // for each in order — placements, counters, errors and notifications
-// are bit-for-bit identical at any Config.PlacementPartitions — but
-// with the proposal work fanned out across the placement partitions:
-// every partition proposes, side-effect-free and in parallel, its
-// surplus bid (and, for VMs with no surplus anywhere, its
-// under-pressure fitness ranking) for every VM of the batch; a serial
-// commit pass then walks the VMs in input order, validates each winning
-// bid against what earlier commits of the batch consumed, and
-// re-proposes only on conflict. The simulation engine feeds it the
-// same-timestamp arrival batches of a trace.
+// are identical — under one lock acquisition, and additionally reports
+// each VM's NeedsReclaim signal and launch allocation. The simulation
+// engine places every arrival through it.
 //
 // Results are appended to out (which may be nil) and the extended slice
 // is returned, so a caller owns its results — the Manager stays safe
@@ -760,6 +710,98 @@ func (m *Manager) PlaceVMs(dcs []hypervisor.DomainConfig, out []Placement) []Pla
 	defer m.mu.Unlock()
 	m.placeAllLocked(dcs)
 	return append(out, m.results...)
+}
+
+// placeAllLocked fills m.results for dcs, one placeSequentialLocked
+// decision per VM in input order.
+func (m *Manager) placeAllLocked(dcs []hypervisor.DomainConfig) {
+	var t0 time.Time
+	if m.cfg.CollectTimings {
+		t0 = time.Now()
+	}
+	m.results = m.results[:0]
+	for _, dc := range dcs {
+		m.results = append(m.results, m.placeSequentialLocked(dc))
+	}
+	if m.cfg.CollectTimings {
+		// Commit is the whole placement time; the surplus/pressure
+		// sub-timers (accumulated inside placeSequentialLocked)
+		// attribute it further.
+		m.commitTime += time.Since(t0)
+	}
+}
+
+// placeSequentialLocked is the one-VM placement decision — the
+// three-step protocol of PlaceVM.
+func (m *Manager) placeSequentialLocked(dc hypervisor.DomainConfig) Placement {
+	m.syncDirtyLocked()
+	if m.riskRejectLocked(dc) {
+		m.rejections++
+		m.riskRejections++
+		return Placement{Err: errHeadroom(dc)}
+	}
+	best := m.surplusCandidateTimedLocked(m.PartitionOf(dc), dc.Size, m.banded(dc))
+	// A surplus candidate in the VM's own pool already proves some
+	// server fits without deflation; only its absence needs the
+	// cross-pool existence scan.
+	out := Placement{NeedsReclaim: best == nil && !m.anyFitsLocked(dc.Size)}
+	if _, ok := m.placements[dc.Name]; ok {
+		out.Err = errExists(dc.Name)
+		return out
+	}
+	if best != nil {
+		d, deflations, err := PlaceOn(best, m.cfg, dc)
+		if err == nil {
+			m.deflationEvents += deflations
+			m.placements[dc.Name] = best
+			out.Domain, out.Server = d, best
+			out.Initial = d.Allocation()
+			return out
+		}
+	}
+	if d, s, ok := m.pressureLiveLocked(dc, best); ok {
+		out.Domain, out.Server = d, s
+		out.Initial = d.Allocation()
+		return out
+	}
+	if !m.evacuating { // relocation failures are not admission rejections
+		m.rejections++
+	}
+	out.Err = errNoCapacity(dc)
+	return out
+}
+
+// syncDirtyLocked refreshes cached placement state (per-server
+// aggregates, free/availability vectors, index keys) for every server
+// the hosts marked dirty since the last query, and folds each server's
+// aggregate delta into the cluster totals. The drain is sorted, so the
+// totals' float accumulation order is deterministic. Between bursts of
+// churn it is a no-op.
+func (m *Manager) syncDirtyLocked() {
+	names := m.dirty.Drain()
+	m.synced += len(names)
+	for _, name := range names {
+		s := m.byName[name]
+		agg := s.Host.Aggregates()
+		m.totCommitted = m.totCommitted.Add(agg.Committed.Sub(s.agg.Committed))
+		m.totAllocated = m.totAllocated.Add(agg.Allocated.Sub(s.agg.Allocated))
+		s.agg = agg
+		total := s.Host.Capacity()
+		s.free = total.Sub(agg.Allocated)
+		s.freeShare = s.free.DominantShare(total)
+		s.avail = availabilityFrom(total, agg)
+		key := m.poolKey(s.Partition, s.band)
+		if s.revoked {
+			// A revoked server stays out of the indexes no matter who
+			// marked it dirty; its cached state is still refreshed so
+			// the delta fold keeps the cluster totals exact.
+			m.indexes[key].Delete(name)
+			m.bounds[key].Delete(name)
+		} else {
+			m.indexes[key].Set(name, s.gidx, s.freeShare, s.free)
+			m.bounds[key].Set(name, s.gidx, boundKey(s.avail), resources.Vector{})
+		}
+	}
 }
 
 // reserveMargin pads the feasibility pre-filter so it can only skip
@@ -809,14 +851,12 @@ func (m *Manager) tryPlaceLocked(s *Server, dc hypervisor.DomainConfig, ncRange 
 }
 
 // cand is one under-pressure placement candidate. idx is the server's
-// manager-wide add order (Server.gidx) — a partition-independent total
-// order, which is what lets commitPressureLocked merge per-partition
-// rankings into exactly the sequential (fitness desc, idx asc) visit
-// order; do not replace it with a positional index. The strict total
-// order also means sorting with any algorithm yields the
-// stable-descending ranking, without the reflection-based swapper
-// sort.SliceStable costs on a struct slice (it showed up at ~20% of a
-// 100k-VM run's profile).
+// manager-wide add order (Server.gidx), the final tie-break of the
+// strict (band, fitness desc, idx asc) candidate order that the pruned
+// descent and the full scan both realize. The strict total order means
+// sorting with any algorithm yields the stable-descending ranking,
+// without the reflection-based swapper sort.SliceStable costs on a
+// struct slice (it showed up at ~20% of a 100k-VM run's profile).
 type cand struct {
 	s       *Server
 	fitness float64
@@ -832,14 +872,13 @@ type candList []cand
 func (c candList) Len() int      { return len(c) }
 func (c candList) Swap(i, j int) { c[i], c[j] = c[j], c[i] }
 
-// Less delegates to candBefore so the sort order and the partitioned
-// engine's merge order share one definition — they must stay
-// bit-identical or partitioned placement diverges from sequential.
+// Less delegates to candBefore so the full scan's sort order and the
+// pruned descent's heap order share one definition — they must stay
+// bit-identical or the two scan modes diverge.
 func (c candList) Less(i, j int) bool { return candBefore(c[i], c[j]) }
 
 // surplusCandidateTimedLocked is surplusCandidateLocked under the
-// surplus sub-phase timer: the serial placement paths (sequential and
-// commit) call through it so BENCH artifacts can attribute commit time
+// surplus sub-phase timer, so BENCH artifacts can attribute commit time
 // to the surplus query vs the pressure scan. Timing never changes the
 // candidate returned.
 func (m *Manager) surplusCandidateTimedLocked(pool int, size resources.Vector, banded bool) *Server {
@@ -856,18 +895,20 @@ func (m *Manager) surplusCandidateTimedLocked(pool int, size resources.Vector, b
 // size without any deflation — the server with the smallest (dominant
 // free share, name) among those whose free vector fits size, or the
 // smallest (hazard band, free share, name) for banded VMs — or nil.
-// The indexed path asks every placement partition's surplus index for
-// its first fitting entry (FirstFit, ascending from a partition-local
-// demand-share lower bound and skipping every subtree whose maximum free
-// vector cannot hold size) and takes the minimum across partitions.
-// When the servers that pass the dominant-share bound but fail the fit
-// are short on a common dimension, each index query touches O(log S)
-// nodes; when they are short on different dimensions (CPU-full and
-// memory-full servers interleaved in key order) the subtree maxima
-// prune less and the query can touch up to every entry above the
-// bound, as a walk testing each entry in order would. The returned
-// ref is the server's add order, so no name is looked up. The reference
-// path scans every server and applies the identical minimisation.
+// The indexed path asks the pool's surplus indexes for their first
+// fitting entry (FirstFit, ascending from the index's demand-share
+// lower bound and skipping every subtree whose maximum free vector
+// cannot hold size): banded VMs probe bands ascending and take the
+// first band with any fit; band-blind VMs take the minimum across the
+// pool's band indexes (MinFit). When the servers that pass the
+// dominant-share bound but fail the fit are short on a common
+// dimension, each index query touches O(log S) nodes; when they are
+// short on different dimensions (CPU-full and memory-full servers
+// interleaved in key order) the subtree maxima prune less and the query
+// can touch up to every entry above the bound, as a walk testing each
+// entry in order would. The returned ref is the server's add order, so
+// no name is looked up. The reference path scans every server and
+// applies the identical minimisation.
 func (m *Manager) surplusCandidateLocked(pool int, size resources.Vector, banded bool) *Server {
 	if m.cfg.ReferencePlacement {
 		var best *Server
@@ -895,46 +936,54 @@ func (m *Manager) surplusCandidateLocked(pool int, size resources.Vector, banded
 		}
 		return best
 	}
-	if banded {
-		// Bands ascending, first band with any fit wins: the global
-		// (band, free share, name) minimum, since each band's MinFit is
-		// that band's (free share, name) minimum across partitions.
+	if banded || m.nBands == 1 {
+		// Bands ascending, first band with any fit wins: the
+		// (band, free share, name) minimum. With one band this is the
+		// pool's single index and the order is band-blind anyway.
 		for band := 0; band < m.nBands; band++ {
-			key := m.poolKey(pool, band)
-			ixs, lows := m.mfIdx[:0], m.mfLow[:0]
-			for _, p := range m.parts {
-				ix := p.indexes[key]
-				var lower float64
-				if ix != nil {
-					lower = size.DominantShare(p.maxCap[key]) - fitMargin
-				}
-				ixs, lows = append(ixs, ix), append(lows, lower)
-			}
-			m.mfIdx, m.mfLow = ixs, lows
-			if ref, ok := capindex.MinFit(ixs, lows, size); ok {
-				return m.servers[ref]
+			if s := m.firstFitLocked(m.poolKey(pool, band), size); s != nil {
+				return s
 			}
 		}
 		return nil
 	}
-	// Any fitting server's free share is at least the demand's dominant
-	// share of its index's largest capacity (minus float fuzz), so each
-	// index prunes everything below its own bound. All of the pool's
-	// band indexes join one MinFit: band-blind (free share, name).
-	ixs, lows := m.mfIdx[:0], m.mfLow[:0]
-	for _, p := range m.parts {
-		for band := 0; band < m.nBands; band++ {
-			key := m.poolKey(pool, band)
-			ix := p.indexes[key]
-			var lower float64
-			if ix != nil {
-				lower = size.DominantShare(p.maxCap[key]) - fitMargin
-			}
-			ixs, lows = append(ixs, ix), append(lows, lower)
+	// Band-blind over several band indexes: one MinFit across them gives
+	// the pool's (free share, name) minimum.
+	ixs, lows := m.bandIdx[:0], m.bandLow[:0]
+	for band := 0; band < m.nBands; band++ {
+		key := m.poolKey(pool, band)
+		ix := m.indexes[key]
+		var lower float64
+		if ix != nil {
+			lower = m.fitLower(key, size)
 		}
+		ixs, lows = append(ixs, ix), append(lows, lower)
 	}
-	m.mfIdx, m.mfLow = ixs, lows
+	m.bandIdx, m.bandLow = ixs, lows
 	ref, ok := capindex.MinFit(ixs, lows, size)
+	if !ok {
+		return nil
+	}
+	return m.servers[ref]
+}
+
+// fitLower is the surplus index scans' lower bound for key: any server
+// that fits size has a free share of at least size's dominant share of
+// the key's largest capacity (minus float fuzz), so everything below it
+// is pruned.
+func (m *Manager) fitLower(key int, size resources.Vector) float64 {
+	return size.DominantShare(m.maxCap[key]) - fitMargin
+}
+
+// firstFitLocked answers one (pool, band) index's tightest-fit query:
+// the fitting server with the smallest (free share, name) in that
+// index, or nil (also when no server has the key).
+func (m *Manager) firstFitLocked(key int, size resources.Vector) *Server {
+	ix := m.indexes[key]
+	if ix == nil {
+		return nil
+	}
+	ref, ok := ix.FirstFit(m.fitLower(key, size), size)
 	if !ok {
 		return nil
 	}
@@ -943,12 +992,12 @@ func (m *Manager) surplusCandidateLocked(pool int, size resources.Vector, banded
 
 // anyFitsLocked reports whether any server in the cluster (regardless
 // of priority pool or hazard band) can host size with no deflation,
-// from the live partition indexes. Each index answers "no" from its
-// root's maximum free vector alone when that cannot hold size; a "yes"
-// still takes the pruned FirstFit descent, because the root maximum
-// mixes dimensions of different servers and can hold size when no
-// single server does. Order-independent: it is an existence check, so
-// the random map iteration is fine.
+// from the live indexes. Each index answers "no" from its root's
+// maximum free vector alone when that cannot hold size; a "yes" still
+// takes the pruned FirstFit descent, because the root maximum mixes
+// dimensions of different servers and can hold size when no single
+// server does. Order-independent: it is an existence check, so the
+// random map iteration is fine.
 func (m *Manager) anyFitsLocked(size resources.Vector) bool {
 	if m.cfg.ReferencePlacement {
 		for _, s := range m.servers {
@@ -961,12 +1010,9 @@ func (m *Manager) anyFitsLocked(size resources.Vector) bool {
 		}
 		return false
 	}
-	for _, p := range m.parts {
-		for key, ix := range p.indexes {
-			lower := size.DominantShare(p.maxCap[key]) - fitMargin
-			if _, ok := ix.FirstFit(lower, size); ok {
-				return true
-			}
+	for key, ix := range m.indexes {
+		if _, ok := ix.FirstFit(m.fitLower(key, size), size); ok {
+			return true
 		}
 	}
 	return false
@@ -975,7 +1021,7 @@ func (m *Manager) anyFitsLocked(size resources.Vector) bool {
 // FitsWithoutDeflation reports whether any server in the cluster
 // (regardless of priority pool) can host size with no deflation. With
 // the capacity indexes it is one pruned FirstFit descent per
-// (partition, pool, band) index instead of a full scan: a miss costs one
+// (pool, band) index instead of a full scan: a miss costs one
 // root read per index, a hit O(log S) touches when the non-fitting
 // servers share a short dimension (see surplusCandidateLocked). Batch
 // placements report the same signal per VM through

@@ -175,50 +175,33 @@ func TestIndexedPlacementMatchesReferencePartitioned(t *testing.T) {
 	}, 12, 400)
 }
 
-// TestPlacementPartitionsMatchReference drives the one-VM-at-a-time
-// churn through the propose/commit engine (PlaceVM routes through a
-// single-VM batch when PlacementPartitions > 1): every placement is a
-// parallel propose across partitions plus one commit, and must still
-// match the brute-force reference bit for bit.
-func TestPlacementPartitionsMatchReference(t *testing.T) {
-	for _, partitions := range []int{2, 5} {
-		t.Run(fmt.Sprintf("partitions=%d", partitions), func(t *testing.T) {
-			runDifferentialChurn(t, 31, Config{
-				Policy:              policy.Proportional{},
-				PlacementPartitions: partitions,
-			}, 12, 400)
-		})
-	}
-}
-
-// TestPlacementPartitionsMatchReferencePriorityPools combines placement
-// partitions with priority-partitioned pools, so every propose/commit
-// round filters candidates by pool across partition boundaries.
-func TestPlacementPartitionsMatchReferencePriorityPools(t *testing.T) {
-	runDifferentialChurn(t, 41, Config{
-		Policy:              policy.Priority{},
-		PartitionByPriority: true,
-		PriorityLevels:      4,
-		PlacementPartitions: 3,
-	}, 12, 400)
-}
-
 // TestIndexedPlacementMatchesReferenceMixedCapacity churns a fleet of
 // three server shapes — full, half-size and memory-heavy, as in a
 // stable/spot portfolio — so many servers pass an index's dominant-share
 // bound yet fail the fit on another dimension, and the surplus descent
 // prunes subtrees by their maximum free vectors on every arrival. Its
-// placements must match the brute-force reference bit for bit, in one
-// partition and across two.
+// placements must match the brute-force reference bit for bit, with one
+// surplus index, with one per priority pool and with one per hazard
+// band.
 func TestIndexedPlacementMatchesReferenceMixedCapacity(t *testing.T) {
 	shapes := []resources.Vector{serverCap(), serverCap().Scale(0.5), resources.CPUMem(16, 196608)}
-	for _, partitions := range []int{1, 2} {
-		t.Run(fmt.Sprintf("partitions=%d", partitions), func(t *testing.T) {
-			runDifferentialChurnSpecs(t, 51, Config{
-				Policy:              policy.Proportional{},
-				PlacementPartitions: partitions,
-			}, 15, 500, func(i int, _ *Manager) ServerSpec {
-				return ServerSpec{Name: fmt.Sprintf("node-%03d", i), Capacity: shapes[i%len(shapes)]}
+	configs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"single-index", Config{Policy: policy.Proportional{}}},
+		{"priority-pools", Config{Policy: policy.Priority{}, PartitionByPriority: true, PriorityLevels: 2}},
+		{"hazard-bands", Config{Policy: policy.Proportional{}, Risk: &RiskConfig{MaxBands: 4}}},
+	}
+	for _, c := range configs {
+		t.Run(c.name, func(t *testing.T) {
+			runDifferentialChurnSpecs(t, 51, c.cfg, 15, 500, func(i int, m *Manager) ServerSpec {
+				return ServerSpec{
+					Name:      fmt.Sprintf("node-%03d", i),
+					Capacity:  shapes[i%len(shapes)],
+					Partition: (i / len(shapes)) % max(1, m.Config().PriorityLevels),
+					Band:      (i / len(shapes)) % 4,
+				}
 			})
 		})
 	}

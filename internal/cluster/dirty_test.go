@@ -9,15 +9,34 @@ import (
 )
 
 // TestLoadOnlyUpdateDirtiesNothing pins that offered load is view-only
-// state: after every placed domain reports a new load, no partition's
-// dirty set holds a server, and the next placement's dirty sync
-// refreshes none — while the latency-aware policy still reads the new
-// loads from the hosts' views.
+// state: after every placed domain reports a new load, the dirty set
+// holds no server and the next placement's dirty sync refreshes none —
+// while the latency-aware policy still reads the new loads from the
+// hosts' views. It holds with one index, with per-pool indexes and with
+// per-band indexes alike.
 func TestLoadOnlyUpdateDirtiesNothing(t *testing.T) {
-	for _, parts := range []int{1, 3} {
-		t.Run(fmt.Sprintf("partitions=%d", parts), func(t *testing.T) {
-			m := newTestManager(t, 6, Config{Policy: policy.LatencyAware{MaxSlowdown: 2}, PlacementPartitions: parts})
-			defer m.Close()
+	latency := policy.LatencyAware{MaxSlowdown: 2}
+	configs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"single-index", Config{Policy: latency}},
+		{"priority-pools", Config{Policy: latency, PartitionByPriority: true, PriorityLevels: 3}},
+		{"hazard-bands", Config{Policy: latency, Risk: &RiskConfig{MaxBands: 3}}},
+	}
+	for _, c := range configs {
+		t.Run(c.name, func(t *testing.T) {
+			m := NewManager(c.cfg)
+			for i := 0; i < 6; i++ {
+				if _, err := m.AddServerSpec(ServerSpec{
+					Name:      fmt.Sprintf("node-%d", i),
+					Capacity:  serverCap(),
+					Partition: i % max(1, c.cfg.PriorityLevels),
+					Band:      i % 3,
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
 			var doms []*hypervisor.Domain
 			for i := 0; i < 18; i++ {
 				d, _, err := m.PlaceVM(deflatableVM(fmt.Sprintf("vm-%02d", i), 8, 16384, 0.5))
@@ -30,10 +49,8 @@ func TestLoadOnlyUpdateDirtiesNothing(t *testing.T) {
 			for i, d := range doms {
 				d.SetOfferedLoad(float64(i%5) + 0.5)
 			}
-			for _, p := range m.parts {
-				if n := p.dirty.Len(); n != 0 {
-					t.Fatalf("partition %d: %d servers dirty after a load-only update", p.id, n)
-				}
+			if n := m.dirty.Len(); n != 0 {
+				t.Fatalf("%d servers dirty after a load-only update", n)
 			}
 			before := m.synced
 			if _, _, err := m.PlaceVM(deflatableVM("newcomer", 1, 1024, 0.5)); err != nil {

@@ -10,10 +10,8 @@
 //     residents are relocated onto survivors, deflating those survivors
 //     through the ordinary placement policy passes.
 //  2. Evacuate what deflation cannot hold. Displaced VMs form one
-//     relocation batch that flows through the same propose/commit
-//     PlaceVMs machinery as trace arrivals — so evacuation scales with
-//     the placement partitions and is bit-for-bit identical at any
-//     partition count.
+//     relocation batch that flows through the same PlaceVMs placement
+//     as trace arrivals, one VM at a time in evacuation order.
 //  3. Kill only as a last resort. A displaced VM whose relocation fails
 //     (no server can host it even after maximal deflation) is reported
 //     in the Evacuation outcome; deciding what that means (a shock
@@ -24,10 +22,10 @@
 //   - Evacuation batch ordering: displaced VMs enter the relocation
 //     batch in (input server order, then domain name order) for
 //     revocations, and in (priority ascending, name ascending) victim
-//     order for resize displacement. The batch commits in that order —
-//     the same strict order at any shard or partition count.
+//     order for resize displacement. The batch places in that order —
+//     the same strict order at any shard count.
 //   - A revoked server keeps its Server identity, its add-order gidx
-//     and its partition membership; it is only removed from the
+//     and its priority pool; it is only removed from the
 //     capacity indexes and skipped by every candidate scan, so the
 //     (fitness, add-index) and (free share, name) total orders over the
 //     remaining servers are unchanged.
@@ -73,12 +71,6 @@ type Evacuation struct {
 // standalone servers are never revoked.
 func (s *Server) Revoked() bool { return s.revoked }
 
-// partitionFor returns the placement partition that owns s — the
-// round-robin-by-add-order assignment AddServer made.
-func (m *Manager) partitionFor(s *Server) *placePartition {
-	return m.parts[s.gidx%len(m.parts)]
-}
-
 // RevokeServer revokes one server; see RevokeServers.
 func (m *Manager) RevokeServer(name string) (Evacuation, error) {
 	return m.RevokeServers(name)
@@ -86,8 +78,8 @@ func (m *Manager) RevokeServer(name string) (Evacuation, error) {
 
 // RevokeServers removes a batch of servers from service at one instant —
 // the provider revoked them — and relocates every resident VM through
-// the batch placement engine. Residents are displaced in (input server
-// order, domain name order), torn down from their revoked hosts, and
+// batch placement. Residents are displaced in (input server order,
+// domain name order), torn down from their revoked hosts, and
 // then placed as one relocation batch exactly as if they were
 // simultaneous arrivals: survivors deflate to make room, and VMs that
 // cannot be placed anywhere are reported as killed. The revoked servers
@@ -129,9 +121,9 @@ func (m *Manager) RevokeServers(names ...string) (Evacuation, error) {
 		}
 		s.revoked = true
 		m.revokedCount++
-		pp, key := m.partitionFor(s), m.poolKey(s.Partition, s.band)
-		pp.indexes[key].Delete(name)
-		pp.bounds[key].Delete(name)
+		key := m.poolKey(s.Partition, s.band)
+		m.indexes[key].Delete(name)
+		m.bounds[key].Delete(name)
 		m.totCapacity = m.totCapacity.Sub(s.Host.Capacity())
 		// An out-of-service server's risk is realised, not forecast: its
 		// headroom contribution leaves the reserve with its capacity.
@@ -141,7 +133,7 @@ func (m *Manager) RevokeServers(names ...string) (Evacuation, error) {
 }
 
 // RestoreServer returns a revoked server to service at its current
-// capacity. The server re-enters its partition's capacity index on the
+// capacity. The server re-enters the capacity indexes on the
 // next dirty sync, making its capacity visible to subsequent
 // placements; nothing is migrated back proactively.
 func (m *Manager) RestoreServer(name string) error {
@@ -158,7 +150,7 @@ func (m *Manager) RestoreServer(name string) error {
 	m.revokedCount--
 	m.totCapacity = m.totCapacity.Add(s.Host.Capacity())
 	m.reserve = m.reserve.Add(s.reserve)
-	m.partitionFor(s).dirty.Mark(name)
+	m.dirty.Mark(name)
 	return nil
 }
 
@@ -168,7 +160,7 @@ func (m *Manager) RestoreServer(name string) error {
 // deflation-first discipline: residents deflate toward their floors,
 // and only when even maximal deflation cannot fit under the new
 // capacity are victims displaced — lowest priority first, name
-// tie-broken — and relocated through the batch placement engine like a
+// tie-broken — and relocated through batch placement like a
 // revocation's evacuees.
 func (m *Manager) ResizeServer(name string, capacity resources.Vector) (Evacuation, error) {
 	m.mu.Lock()
@@ -197,12 +189,11 @@ func (m *Manager) ResizeServer(name string, capacity resources.Vector) (Evacuati
 		m.reserve = m.reserve.Add(s.reserve)
 	}
 	// maxCap stays a component-wise upper bound over every capacity the
-	// partition's pool has seen: after a shrink it over-estimates, which
+	// (pool, band) key has seen: after a shrink it over-estimates, which
 	// only loosens the index scans' lower bound (more entries inspected,
 	// same answer) — correctness never depends on it being tight.
-	pp := m.partitionFor(s)
 	key := m.poolKey(s.Partition, s.band)
-	pp.maxCap[key] = pp.maxCap[key].Max(capacity)
+	m.maxCap[key] = m.maxCap[key].Max(capacity)
 
 	if s.Host.Allocated().FitsIn(capacity) {
 		// Grow / slack restore: run the freed capacity back into the
@@ -316,10 +307,8 @@ func (m *Manager) deflateToCapacityLocked(s *Server, capacity resources.Vector) 
 	return nil
 }
 
-// evacuateLocked relocates the queued displaced VMs as one batch
-// through the propose/commit placement engine and assembles the
-// Evacuation outcome. The batch commits in evacuation order, so the
-// result is bit-for-bit identical at any placement-partition count;
+// evacuateLocked relocates the queued displaced VMs as one placement
+// batch, in evacuation order, and assembles the Evacuation outcome;
 // rejections inside the batch are not counted as admission failures.
 func (m *Manager) evacuateLocked() Evacuation {
 	var out Evacuation

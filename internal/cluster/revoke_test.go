@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"vmdeflate/internal/hypervisor"
@@ -14,7 +13,6 @@ import (
 
 func TestRevokeServerEvacuatesVMs(t *testing.T) {
 	m := newTestManager(t, 3, Config{})
-	defer m.Close()
 	var placedOn *Server
 	for i := 0; i < 4; i++ {
 		_, s, err := m.PlaceVM(deflatableVM(fmt.Sprintf("vm-%d", i), 8, 16384, 0.5))
@@ -90,7 +88,6 @@ func TestRevokeServerEvacuatesVMs(t *testing.T) {
 
 func TestRevokeRestoreLifecycleErrors(t *testing.T) {
 	m := newTestManager(t, 2, Config{})
-	defer m.Close()
 	if _, err := m.RevokeServer("nope"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("revoke unknown server err = %v", err)
 	}
@@ -124,7 +121,6 @@ func TestRevokeKillsWhenNoCapacity(t *testing.T) {
 	// Two servers, both filled with on-demand VMs that cannot deflate:
 	// revoking one leaves nowhere for its residents to go.
 	m := newTestManager(t, 2, Config{})
-	defer m.Close()
 	for i := 0; i < 2; i++ {
 		if _, _, err := m.PlaceVM(onDemandVM(fmt.Sprintf("od-%d", i), 48, 131072)); err != nil {
 			t.Fatal(err)
@@ -156,7 +152,6 @@ func TestResizeServerShrinkDeflates(t *testing.T) {
 	// One server, deflatable residents filling most of it: a moderate
 	// shrink must be absorbed purely by deflation — nothing displaced.
 	m := newTestManager(t, 1, Config{})
-	defer m.Close()
 	for i := 0; i < 3; i++ {
 		if _, _, err := m.PlaceVM(deflatableVM(fmt.Sprintf("vm-%d", i), 12, 32768, 0.5)); err != nil {
 			t.Fatal(err)
@@ -194,7 +189,6 @@ func TestResizeServerShrinkDisplaces(t *testing.T) {
 	// displaced VMs must land on the second server, lowest priority
 	// first.
 	m := newTestManager(t, 2, Config{})
-	defer m.Close()
 	// Two residents with explicit QoS floors of 8 cores each: the shrunk
 	// capacity (10 cores) can hold one floor but not both, so exactly
 	// one VM must be displaced even at maximal deflation.
@@ -234,8 +228,8 @@ func TestResizeServerShrinkDisplaces(t *testing.T) {
 // differential guarantee under capacity shocks: an identical randomized
 // sequence of placements, removals, revocations, restorations and
 // resizes must produce identical placements, evacuation outcomes,
-// counters and stats on the reference manager and on indexed managers
-// at several placement-partition counts.
+// counters and stats on the reference manager and on the indexed
+// manager in both pressure-scan modes.
 func TestRevocationChurnMatchesAcrossEngines(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -290,16 +284,11 @@ func runRevocationChurn(t *testing.T, seed int64, cfg Config, nServers, nOps int
 	refCfg := cfg
 	refCfg.ReferencePlacement = true
 	engines = append(engines, churnEngine{"reference", NewManager(refCfg)})
-	// Both scan modes at every partition count: pruned descent (default)
-	// and the retained full linear scan, all against the reference.
-	for _, parts := range []int{1, 3, 8} {
-		pcfg := cfg
-		pcfg.PlacementPartitions = parts
-		engines = append(engines, churnEngine{fmt.Sprintf("pruned/partitions=%d", parts), NewManager(pcfg)})
-		fcfg := pcfg
-		fcfg.FullPressureScan = true
-		engines = append(engines, churnEngine{fmt.Sprintf("fullscan/partitions=%d", parts), NewManager(fcfg)})
-	}
+	// Both scan modes: pruned descent (default) and the retained full
+	// linear scan, each against the reference.
+	fcfg := cfg
+	fcfg.FullPressureScan = true
+	engines = append(engines, churnEngine{"pruned", NewManager(cfg)}, churnEngine{"fullscan", NewManager(fcfg)})
 	for i := 0; i < nServers; i++ {
 		for _, e := range engines {
 			if _, err := e.m.AddServer(fmt.Sprintf("node-%03d", i), serverCap(), 0); err != nil {
@@ -307,11 +296,6 @@ func runRevocationChurn(t *testing.T, seed int64, cfg Config, nServers, nOps int
 			}
 		}
 	}
-	defer func() {
-		for _, e := range engines {
-			e.m.Close()
-		}
-	}()
 
 	evacString := func(out Evacuation, err error) string {
 		if err != nil {
@@ -470,9 +454,9 @@ func runRevocationChurn(t *testing.T, seed int64, cfg Config, nServers, nOps int
 	}
 
 	// Pressure-scan meter invariants across the whole churn: arrivals
-	// are mode-invariant; scored/pruned are partition-invariant within
-	// each scan mode; the full-scan engines score exactly what the
-	// reference scores and prune nothing.
+	// are mode-invariant; the full-scan engine scores exactly what the
+	// reference scores and prunes nothing; the pruned engine's scored
+	// and pruned servers add up to the reference's eligible total.
 	refArr, refScored, refPruned := engines[0].m.PressureStats()
 	if refPruned != 0 {
 		t.Fatalf("reference pruned %d servers, want 0", refPruned)
@@ -483,19 +467,14 @@ func runRevocationChurn(t *testing.T, seed int64, cfg Config, nServers, nOps int
 		if arr != refArr {
 			t.Fatalf("%s: %d pressured arrivals, reference %d", e.label, arr, refArr)
 		}
-		if strings.HasPrefix(e.label, "fullscan") {
+		if e.label == "fullscan" {
 			if scored != refScored || pruned != 0 {
 				t.Fatalf("%s: scored/pruned = %d/%d, reference full scan %d/0",
 					e.label, scored, pruned, refScored)
 			}
 			continue
 		}
-		if out.scored == 0 && out.pruned == 0 {
-			out.scored, out.pruned = scored, pruned
-		} else if scored != out.scored || pruned != out.pruned {
-			t.Fatalf("%s: scored/pruned = %d/%d, other pruned engines %d/%d",
-				e.label, scored, pruned, out.scored, out.pruned)
-		}
+		out.scored, out.pruned = scored, pruned
 		if scored+pruned != refScored {
 			t.Fatalf("%s: scored+pruned = %d, want the reference's eligible total %d",
 				e.label, scored+pruned, refScored)
@@ -518,18 +497,16 @@ func compareEngineStats(t *testing.T, op int, ref *Manager, others []churnEngine
 	}
 }
 
-// TestManagerCloseIdempotent: Close must be safe to call repeatedly and
-// must leave the manager fully usable (phases run inline) — revocation
-// teardown paths call it more than once.
+// TestManagerCloseIdempotent: Close is a no-op kept for existing
+// callers, so closing twice is safe and a closed manager still places,
+// batch-places and evacuates exactly as before.
 func TestManagerCloseIdempotent(t *testing.T) {
-	m := newTestManager(t, 4, Config{PlacementPartitions: 4})
-	// Force the worker pool to spin up, then close it twice.
+	m := newTestManager(t, 4, Config{})
 	if _, _, err := m.PlaceVM(deflatableVM("vm-0", 4, 8192, 0.5)); err != nil {
 		t.Fatal(err)
 	}
 	m.Close()
-	m.Close() // must not panic (double channel close) or deadlock
-	// Still fully usable after Close: batches run inline.
+	m.Close()
 	pls := m.PlaceVMs([]hypervisor.DomainConfig{
 		deflatableVM("vm-1", 4, 8192, 0.5),
 		deflatableVM("vm-2", 4, 8192, 0.5),
@@ -542,5 +519,10 @@ func TestManagerCloseIdempotent(t *testing.T) {
 	if _, err := m.RevokeServer("node-0"); err != nil {
 		t.Fatalf("revocation after Close failed: %v", err)
 	}
-	m.Close() // and Close again after more work
+	for _, name := range []string{"vm-0", "vm-1", "vm-2"} {
+		if _, s, err := m.LookupVM(name); err != nil || s.Host.Name() == "node-0" {
+			t.Fatalf("%s after Close and an evacuation: server %v, err %v", name, s, err)
+		}
+	}
+	m.Close()
 }

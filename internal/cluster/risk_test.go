@@ -28,8 +28,8 @@ func riskSpec(i int, m *Manager) ServerSpec {
 // risk-aware paths: with hazard bands, headroom reserves and the
 // shock-aware admission gate all active, the indexed engine must match
 // the brute-force reference bit for bit — server choices, rejection
-// classes and every counter — across placement-partition counts and
-// priority-partitioned pools.
+// classes and every counter — with and without priority-partitioned
+// pools.
 func TestRiskChurnMatchesReference(t *testing.T) {
 	risk := &RiskConfig{HighPriority: 0.75, MaxBands: 4}
 	cases := []struct {
@@ -37,14 +37,11 @@ func TestRiskChurnMatchesReference(t *testing.T) {
 		cfg  Config
 	}{
 		{"sequential", Config{Policy: policy.Priority{}, Risk: risk}},
-		{"partitions=2", Config{Policy: policy.Priority{}, Risk: risk, PlacementPartitions: 2}},
-		{"partitions=5", Config{Policy: policy.Priority{}, Risk: risk, PlacementPartitions: 5}},
-		{"pools+partitions=3", Config{
+		{"pools", Config{
 			Policy:              policy.Priority{},
 			Risk:                risk,
 			PartitionByPriority: true,
 			PriorityLevels:      4,
-			PlacementPartitions: 3,
 		}},
 	}
 	for _, tc := range cases {
@@ -107,15 +104,14 @@ func TestBandedOrderPrefersLowHazard(t *testing.T) {
 // capacity stop admitting low-priority VMs once free capacity dips to
 // the reserve, the rejection carries both ErrHeadroom and
 // ErrNoCapacity, high-priority and on-demand VMs bypass the gate, and
-// the whole trajectory is identical on the sequential, batch and
-// reference engines.
+// the whole trajectory is identical on the indexed and reference
+// engines.
 func TestHeadroomGateWithholdsLowPriority(t *testing.T) {
 	variants := []struct {
 		name string
 		cfg  Config
 	}{
 		{"sequential", Config{Risk: &RiskConfig{}}},
-		{"partitions=3", Config{Risk: &RiskConfig{}, PlacementPartitions: 3}},
 		{"reference", Config{Risk: &RiskConfig{}, ReferencePlacement: true}},
 	}
 	for _, v := range variants {
@@ -210,17 +206,16 @@ func TestHeadroomGateLiftsDuringEvacuation(t *testing.T) {
 	}
 }
 
-// riskProposeSteadyState is proposeSteadyState on a risk-on manager:
+// riskSurplusSteadyState is surplusSteadyState on a risk-on manager:
 // bands cycle across the fleet, every server reserves headroom, and the
-// probe batch hits the banded surplus scan (high-priority), the legacy
-// surplus scan (low-priority) and the banded pressure ranking
-// (on-demand giant) every round.
-func riskProposeSteadyState(tb testing.TB, partitions int) (*Manager, []hypervisor.DomainConfig) {
+// probe batch hits the banded surplus scan (high-priority), the
+// band-blind MinFit across band indexes (low-priority) and a banded
+// miss (on-demand giant) every round.
+func riskSurplusSteadyState(tb testing.TB) (*Manager, []hypervisor.DomainConfig) {
 	tb.Helper()
 	m := NewManager(Config{
-		Policy:              policy.Proportional{},
-		PlacementPartitions: partitions,
-		Risk:                &RiskConfig{},
+		Policy: policy.Proportional{},
+		Risk:   &RiskConfig{},
 	})
 	for i := 0; i < 8; i++ {
 		spec := ServerSpec{
@@ -252,40 +247,33 @@ func riskProposeSteadyState(tb testing.TB, partitions int) (*Manager, []hypervis
 	return m, dcs
 }
 
-// TestRiskProposeSteadyStateZeroAllocs extends the propose-pass
-// allocation gate to the hazard-aware candidate scan: with bands and
-// reserves active, the banded surplus walk (first fitting band across
-// partitions) and the banded pressure ranking must stay allocation-free
-// once the arenas are warm.
-func TestRiskProposeSteadyStateZeroAllocs(t *testing.T) {
-	for _, partitions := range []int{1, 4} {
-		t.Run(fmt.Sprintf("partitions=%d", partitions), func(t *testing.T) {
-			m, dcs := riskProposeSteadyState(t, partitions)
-			defer m.Close()
-			proposeOnce(m, dcs) // warm the arenas and spawn the workers
-			got := testing.AllocsPerRun(200, func() {
-				proposeOnce(m, dcs)
-			})
-			if got != 0 {
-				t.Errorf("risk-on steady-state propose pass allocates %.1f allocs/op, want 0", got)
-			}
-		})
+// TestRiskSurplusSteadyStateZeroAllocs extends the surplus-query
+// allocation gate to the hazard-aware candidate order: with bands and
+// reserves active, the banded surplus walk (first fitting band), the
+// band-blind MinFit and the existence check must stay allocation-free
+// once the scratch is warm.
+func TestRiskSurplusSteadyStateZeroAllocs(t *testing.T) {
+	m, dcs := riskSurplusSteadyState(t)
+	surplusOnce(m, dcs) // warm the scratch
+	got := testing.AllocsPerRun(200, func() {
+		surplusOnce(m, dcs)
+	})
+	if got != 0 {
+		t.Errorf("risk-on steady-state surplus queries allocate %.1f allocs/op, want 0", got)
 	}
 }
 
-// BenchmarkRiskProposeSteadyState is the hazard-aware scan's entry in
+// BenchmarkRiskSurplusSteadyState is the hazard-aware query's entry in
 // the Makefile's bench-allocs gate: `-benchmem` must report 0 allocs/op
-// or the build fails. ns/op is the per-batch propose latency a
-// risk-aware partitioned run pays at every arrival instant; compare
-// against BenchmarkProposeSteadyState for the cost of banding.
-func BenchmarkRiskProposeSteadyState(b *testing.B) {
-	m, dcs := riskProposeSteadyState(b, 4)
-	defer m.Close()
-	proposeOnce(m, dcs)
+// or the build fails. Compare its ns/op against
+// BenchmarkSurplusSteadyState for the cost of banding.
+func BenchmarkRiskSurplusSteadyState(b *testing.B) {
+	m, dcs := riskSurplusSteadyState(b)
+	surplusOnce(m, dcs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		proposeOnce(m, dcs)
+		surplusOnce(m, dcs)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // sloSteadyEngine stands up a populated deflation-mode engine with SLO
-// metering on: a bursty trace's VMs are all admitted in one batch, so
+// metering on: a bursty trace's VMs are all admitted at time 0, so
 // subsequent samplePass calls meter a steady running set — the per-VM
 // queueing math exactly as the event loop runs it, without the loop.
 func sloSteadyEngine(tb testing.TB, nVMs int) *Engine {
@@ -31,11 +31,9 @@ func sloSteadyEngine(tb testing.TB, nVMs int) *Engine {
 	if err := e.setupDeflation(); err != nil {
 		tb.Fatal(err)
 	}
-	evs := make([]simEvent, len(tr.VMs))
 	for i, vm := range tr.VMs {
-		evs[i] = simEvent{at: 0, kind: evArrival, vm: vm, seq: i}
+		e.handleArrival(simEvent{at: 0, kind: evArrival, vm: vm, seq: i})
 	}
-	e.handleArrivals(evs)
 	if len(e.runList) == 0 {
 		tb.Fatal("no VMs admitted; sample pass would measure nothing")
 	}
@@ -58,7 +56,6 @@ func samplePassCycle(e *Engine, i int) {
 // shard goroutines, which inherently allocate.
 func TestSamplePassSLOZeroAllocs(t *testing.T) {
 	e := sloSteadyEngine(t, 600)
-	defer e.mgr.Close()
 	samplePassCycle(e, 0) // warm
 	i := 1
 	got := testing.AllocsPerRun(100, func() {
@@ -76,7 +73,6 @@ func TestSamplePassSLOZeroAllocs(t *testing.T) {
 // paid every 5 simulated minutes.
 func BenchmarkSamplePassSLOSteadyState(b *testing.B) {
 	e := sloSteadyEngine(b, 600)
-	defer e.mgr.Close()
 	samplePassCycle(e, 0)
 	b.ReportAllocs()
 	b.ResetTimer()

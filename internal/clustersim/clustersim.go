@@ -46,21 +46,9 @@
 // (time, first-touched server, VM name) order — so sharded == sequential
 // == reference placement bit for bit, proven by the differential suite.
 //
-// # Partitioned arrival placement
-//
-// Arrival placement — where each decision reads the capacity state
-// every previous decision wrote — cannot shard the same way; it
-// parallelises through Config.PlacementPartitions instead. The engine
-// coalesces same-timestamp arrival runs (beside the existing departure
-// batches) and hands each batch to the cluster manager's
-// propose/commit engine: every placement partition proposes its best
-// candidates for every VM of the batch in parallel and
-// side-effect-free, and a serial commit pass walks the VMs in trace
-// order, validating each winning bid against what earlier commits
-// consumed and re-proposing only on conflict (see
-// internal/cluster/partition.go). Commit order equals trace order, so
-// partitioned == sequential == reference placement bit for bit at any
-// partition count — also proven by the differential suite.
+// Arrival placement is not sharded: each decision reads the capacity
+// state every previous decision wrote, so arrivals are placed one at a
+// time, in the queue's (time, kind, trace-index) order, as they pop.
 //
 // VM records from an Azure-like trace (or one of the synthetic
 // scenario generators in internal/trace: diurnal, bursty/flash-crowd,
@@ -181,21 +169,18 @@ const (
 // compared with reflect.DeepEqual by the differential suites and wall
 // times are the one legitimately nondeterministic output.
 type PhaseTimings struct {
-	// Propose and Commit split the arrival-placement batches: the
-	// parallel side-effect-free proposal phase versus the serial
-	// trace-order commit (with a single partition, all placement time
-	// counts as Commit).
+	// Propose is always zero: placement has no separate proposal phase.
+	// The field remains only so existing readers keep compiling.
 	Propose time.Duration
-	Commit  time.Duration
+	// Commit is the arrival and evacuation placement time.
+	Commit time.Duration
 	// Sample is the per-interval metering pass over the running set.
 	Sample time.Duration
 	// Reinflate is the departure/evacuation-driven reinflation passes.
 	Reinflate time.Duration
-	// Surplus and Pressure further attribute the serial placement work
-	// inside Commit: the live surplus-index lookups and the
-	// under-pressure candidate scans. Both are subsets of Commit (and,
-	// with a single partition, of the whole placement time booked
-	// there), not additional wall time.
+	// Surplus and Pressure further attribute the placement work inside
+	// Commit: the surplus-index lookups and the under-pressure candidate
+	// scans. Both are subsets of Commit, not additional wall time.
 	Surplus  time.Duration
 	Pressure time.Duration
 }
@@ -263,16 +248,6 @@ type Config struct {
 	// multiply under the sweep layer's worker pool; use them for one
 	// giant run, not inside a saturated sweep.
 	Shards int
-	// PlacementPartitions parallelises the one path Shards cannot: the
-	// arrival placement decisions. The cluster manager splits its
-	// servers across this many placement partitions; same-timestamp
-	// arrival batches are placed through the manager's propose/commit
-	// engine, where every partition proposes its best candidate for
-	// every VM in parallel and a serial commit walks the batch in trace
-	// order, re-proposing only on conflict. The Result is bit-for-bit
-	// identical at any partition count (guarded by the differential
-	// suite). 0 or 1 keeps the sequential placement engine.
-	PlacementPartitions int
 	// Shocks is an explicit capacity-shock schedule: revocations,
 	// restorations and resizes of specific servers by provisioning
 	// index. Shocks addressing servers beyond the run's provisioned
@@ -315,9 +290,9 @@ type Config struct {
 	// zero). Nil keeps risk-blind placement.
 	Risk *RiskOptions
 	// Timings, when set, receives the run's per-phase wall times
-	// (propose/commit/sample/reinflate). Collection adds two clock
-	// reads per timed section and is off when nil; it never influences
-	// any simulated outcome.
+	// (commit/sample/reinflate). Collection adds two clock reads per
+	// timed section and is off when nil; it never influences any
+	// simulated outcome.
 	Timings *PhaseTimings
 	// useHeapQueue forces the reference container/heap event queue
 	// instead of the calendar queue. Results are identical either way
@@ -367,6 +342,9 @@ func (c *Config) applyDefaults() error {
 	if c.Overcommit < 0 {
 		return fmt.Errorf("clustersim: negative overcommit")
 	}
+	if !finite(c.Overcommit) {
+		return fmt.Errorf("clustersim: non-finite overcommit %v", c.Overcommit)
+	}
 	if c.EvacuationDowntime <= 0 {
 		c.EvacuationDowntime = 30
 	}
@@ -386,8 +364,16 @@ func (c *Config) applyDefaults() error {
 		if t.Fraction < 0 || t.CapacityScale < 0 || t.PriceFactor < 0 || t.ShockRateScale < 0 {
 			return fmt.Errorf("clustersim: negative ServerType field in portfolio (%q)", t.Name)
 		}
+		if !finite(t.Fraction) || !finite(t.CapacityScale) || !finite(t.PriceFactor) || !finite(t.ShockRateScale) {
+			return fmt.Errorf("clustersim: non-finite ServerType field in portfolio (%q)", t.Name)
+		}
 	}
 	return nil
+}
+
+// finite reports whether x is neither NaN nor an infinity.
+func finite(x float64) bool {
+	return !math.IsNaN(x) && !math.IsInf(x, 0)
 }
 
 // Result summarises one run.

@@ -1,6 +1,7 @@
 package clustersim
 
 import (
+	"math"
 	"testing"
 
 	"vmdeflate/internal/mechanism"
@@ -18,27 +19,28 @@ func testTrace(nVMs int) *trace.AzureTrace {
 }
 
 // TestZeroLifetimeVMFreesCapacityForSameInstantArrivals pins the
-// departures-before-arrivals invariant through the arrival batching: a
-// zero-lifetime VM (End == Start, possible only in hand-written CSV
-// traces) must free its capacity before later arrivals at the same
-// instant are placed — the one-at-a-time engine's behavior, which the
-// batch coalescing must split to preserve — and the outcome must not
-// depend on the partition count.
+// departures-before-arrivals invariant at one instant: a zero-lifetime
+// VM (End == Start, possible only in hand-written CSV traces) pushes
+// its departure at its own arrival instant, and that departure must
+// free its capacity before the arrivals still queued at the same
+// instant are placed. Both event queues must pop in that order.
 func TestZeroLifetimeVMFreesCapacityForSameInstantArrivals(t *testing.T) {
 	util := []float64{50, 50}
 	tr := &trace.AzureTrace{VMs: []*trace.VMRecord{
 		{ID: "vm-a", Class: trace.Unknown, Cores: 48, MemoryMB: 131072, Start: 0, End: 0, CPUUtil: util},
 		{ID: "vm-b", Class: trace.Unknown, Cores: 48, MemoryMB: 131072, Start: 0, End: 3600, CPUUtil: util},
 	}}
-	for _, partitions := range []int{0, 3} {
-		res, err := Run(Config{Trace: tr, BaselineServers: 1, PlacementPartitions: partitions})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Admitted != 2 || res.Rejected != 0 {
-			t.Fatalf("partitions=%d: admitted %d rejected %d; want the zero-lifetime VM's capacity freed for the same-instant arrival (2 admitted)",
-				partitions, res.Admitted, res.Rejected)
-		}
+	for _, q := range eventQueues {
+		t.Run("queue="+q.name, func(t *testing.T) {
+			res, err := Run(Config{Trace: tr, BaselineServers: 1, useHeapQueue: q.heap})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Admitted != 2 || res.Rejected != 0 {
+				t.Fatalf("admitted %d rejected %d; want the zero-lifetime VM's capacity freed for the same-instant arrival (2 admitted)",
+					res.Admitted, res.Rejected)
+			}
+		})
 	}
 }
 
@@ -65,12 +67,48 @@ func TestBaselineServerCount(t *testing.T) {
 	}
 }
 
+// TestRunValidation: malformed configs are rejected with an error
+// before any simulation state is built. Unchecked, a non-finite
+// overcommit would silently size a 1-server cluster, and a NaN
+// portfolio fraction would panic indexing an empty type assignment.
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
-		t.Error("empty trace should fail")
+	tr := testTrace(10)
+	s, err := trace.NewStream(trace.ScenarioConfig{Kind: trace.ScenarioAzure, NumVMs: 2000, Duration: 86400, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Run(Config{Trace: testTrace(10), Overcommit: -0.5}); err == nil {
-		t.Error("negative overcommit should fail")
+	nan, inf := math.NaN(), math.Inf(1)
+	portfolio := func(mut func(*ServerType)) []ServerType {
+		p := []ServerType{{Name: "stable", Fraction: 1}, {Name: "spot", Fraction: 1}}
+		mut(&p[1])
+		return p
+	}
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"empty", Config{}},
+		{"negative overcommit", Config{Trace: tr, Overcommit: -0.5}},
+		{"NaN overcommit", Config{Trace: tr, Overcommit: nan}},
+		{"+Inf overcommit", Config{Trace: tr, Overcommit: inf}},
+		{"NaN overcommit, streamed", Config{Stream: s, Overcommit: nan}},
+		{"+Inf overcommit, streamed", Config{Stream: s, Overcommit: inf}},
+		{"NaN fraction", Config{Stream: s, Portfolio: portfolio(func(t *ServerType) { t.Fraction = nan })}},
+		{"+Inf fraction", Config{Trace: tr, Portfolio: portfolio(func(t *ServerType) { t.Fraction = inf })}},
+		{"NaN capacity scale", Config{Trace: tr, Portfolio: portfolio(func(t *ServerType) { t.CapacityScale = nan })}},
+		{"+Inf capacity scale", Config{Trace: tr, Portfolio: portfolio(func(t *ServerType) { t.CapacityScale = inf })}},
+		{"NaN price factor", Config{Trace: tr, Portfolio: portfolio(func(t *ServerType) { t.PriceFactor = nan })}},
+		{"+Inf price factor", Config{Trace: tr, Portfolio: portfolio(func(t *ServerType) { t.PriceFactor = inf })}},
+		{"NaN shock rate scale", Config{Trace: tr, Portfolio: portfolio(func(t *ServerType) { t.ShockRateScale = nan })}},
+		{"+Inf shock rate scale", Config{Trace: tr, Portfolio: portfolio(func(t *ServerType) { t.ShockRateScale = inf })}},
+		{"negative price factor", Config{Trace: tr, Portfolio: portfolio(func(t *ServerType) { t.PriceFactor = -1 })}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if res, err := Run(c.cfg); err == nil {
+				t.Errorf("want an error, got a run on %d servers", res.Servers)
+			}
+		})
 	}
 }
 

@@ -16,13 +16,24 @@ import (
 // scores only what the bounds cannot exclude. Every other field —
 // including PressuredArrivals, which is mode-invariant — must still
 // match bit-for-bit, so cross-mode comparisons go through this helper
-// and same-mode comparisons (shards, partitions, streaming) stay raw.
+// and same-mode comparisons (shards, streaming) stay raw.
 func normalizeScanMeters(r *Result) *Result {
 	c := *r
 	c.PressureScored = 0
 	c.PressurePruned = 0
 	return &c
 }
+
+// eventQueues names the engine's two event-queue implementations: the
+// calendar queue (the default) and the container/heap oracle behind
+// Config.useHeapQueue. Each arrival is placed as it pops, so a run's
+// placement sequence is exactly the queue's (time, kind, seq) pop order
+// — same-instant departures before arrivals included — and the
+// differential suites run under both queues to pin that order.
+var eventQueues = []struct {
+	name string
+	heap bool
+}{{"calendar", false}, {"heap", true}}
 
 // TestIndexedEngineMatchesReference is the end-to-end differential
 // guarantee of the capacity-index refactor: full simulation runs through
@@ -117,19 +128,15 @@ func TestShardedEngineMatchesSequentialAndReference(t *testing.T) {
 	}
 }
 
-// TestPartitionedEngineMatchesSequentialAndReference is the
-// propose/commit determinism guarantee: a run whose arrival placements
-// go through the partitioned engine — parallel per-partition proposals,
-// serial commits in trace order, re-proposal on conflict — must produce
-// a Result bit-for-bit identical to the sequential indexed engine AND
-// to the brute-force reference path, across scenarios, seeds and
-// partition counts (including partitions=1 and counts exceeding the
-// server count).
-func TestPartitionedEngineMatchesSequentialAndReference(t *testing.T) {
+// TestIndexedEngineMatchesReferencePriorityPolicy is the end-to-end
+// differential under the priority policy at 50% overcommitment: the
+// indexed engine's Result must equal the brute-force reference's
+// bit-for-bit across scenarios and seeds, and the heap-queue run must
+// equal the calendar-queue run.
+func TestIndexedEngineMatchesReferencePriorityPolicy(t *testing.T) {
 	scenarios := []trace.Scenario{
 		trace.ScenarioDiurnal, trace.ScenarioBursty, trace.ScenarioHeavyTail,
 	}
-	partitionCounts := []int{1, 2, 3, 8, 64}
 	for _, kind := range scenarios {
 		for _, seed := range []int64{1, 2} {
 			tr, err := trace.GenerateScenario(trace.ScenarioConfig{
@@ -139,30 +146,31 @@ func TestPartitionedEngineMatchesSequentialAndReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			base := Config{Trace: tr, Policy: policy.Priority{}, Overcommit: 0.5}
-			seq, err := Run(base)
+			cal, err := Run(base)
 			if err != nil {
 				t.Fatal(err)
 			}
-			refCfg := base
-			refCfg.ReferencePlacement = true
-			ref, err := Run(refCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(normalizeScanMeters(seq), normalizeScanMeters(ref)) {
-				t.Fatalf("%v/seed=%d: sequential diverged from reference:\nseq %+v\nref %+v", kind, seed, *seq, *ref)
-			}
-			for _, parts := range partitionCounts {
-				name := fmt.Sprintf("%v/seed=%d/partitions=%d", kind, seed, parts)
-				t.Run(name, func(t *testing.T) {
+			for _, q := range eventQueues {
+				t.Run(fmt.Sprintf("%v/seed=%d/queue=%s", kind, seed, q.name), func(t *testing.T) {
 					cfg := base
-					cfg.PlacementPartitions = parts
-					got, err := Run(cfg)
+					cfg.useHeapQueue = q.heap
+					idx := cal
+					if q.heap {
+						got, err := Run(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if idx = got; !reflect.DeepEqual(idx, cal) {
+							t.Fatalf("heap-queue run diverged from calendar:\nheap     %+v\ncalendar %+v", *idx, *cal)
+						}
+					}
+					cfg.ReferencePlacement = true
+					ref, err := Run(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(got, seq) {
-						t.Fatalf("partitioned run diverged from sequential:\npartitioned %+v\nsequential  %+v", *got, *seq)
+					if !reflect.DeepEqual(normalizeScanMeters(idx), normalizeScanMeters(ref)) {
+						t.Fatalf("indexed run diverged from reference:\nindexed   %+v\nreference %+v", *idx, *ref)
 					}
 				})
 			}
@@ -170,34 +178,10 @@ func TestPartitionedEngineMatchesSequentialAndReference(t *testing.T) {
 	}
 }
 
-// TestPartitionedEngineMatchesSequentialShardedPools covers the full
-// parallel stack at once: placement partitions on top of intra-run
-// shards (sample pass + departure-batch reinflation) with
-// priority-partitioned pools, against the plain sequential engine.
-func TestPartitionedEngineMatchesSequentialShardedPools(t *testing.T) {
-	tr := testTrace(400)
-	base := Config{Trace: tr, Policy: policy.Priority{}, Partitioned: true, Overcommit: 0.5}
-	seq, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, parts := range []int{2, 5} {
-		cfg := base
-		cfg.Shards = 4
-		cfg.PlacementPartitions = parts
-		got, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, seq) {
-			t.Fatalf("partitions=%d: sharded+partitioned run diverged:\ngot %+v\nseq %+v", parts, *got, *seq)
-		}
-	}
-}
-
 // TestShardedEngineMatchesSequentialPartitioned covers sharding with
 // priority-partitioned pools and the deterministic policy — the
-// combination where per-server passes differ most between servers.
+// combination where per-server passes differ most between servers —
+// under either event queue.
 func TestShardedEngineMatchesSequentialPartitioned(t *testing.T) {
 	tr := testTrace(400)
 	base := Config{Trace: tr, Policy: policy.Deterministic{}, Partitioned: true, Overcommit: 0.5}
@@ -206,34 +190,44 @@ func TestShardedEngineMatchesSequentialPartitioned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{2, 8} {
-		cfg := base
-		cfg.Shards = shards
-		got, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, seq) {
-			t.Fatalf("shards=%d: partitioned sharded run diverged:\nsharded    %+v\nsequential %+v", shards, *got, *seq)
+		for _, q := range eventQueues {
+			t.Run(fmt.Sprintf("shards=%d/queue=%s", shards, q.name), func(t *testing.T) {
+				cfg := base
+				cfg.Shards = shards
+				cfg.useHeapQueue = q.heap
+				got, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, seq) {
+					t.Fatalf("partitioned sharded run diverged:\nsharded    %+v\nsequential %+v", *got, *seq)
+				}
+			})
 		}
 	}
 }
 
 // TestIndexedEngineMatchesReferencePartitioned covers the
-// priority-partitioned pools, where the index is split per partition.
+// priority-partitioned pools, where the index is split per partition,
+// under either event queue.
 func TestIndexedEngineMatchesReferencePartitioned(t *testing.T) {
 	tr := testTrace(400)
-	cfg := Config{Trace: tr, Policy: policy.Priority{}, Partitioned: true, Overcommit: 0.5}
-	idx, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.ReferencePlacement = true
-	ref, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(normalizeScanMeters(idx), normalizeScanMeters(ref)) {
-		t.Fatalf("partitioned indexed run diverged:\nindexed   %+v\nreference %+v", *idx, *ref)
+	for _, q := range eventQueues {
+		t.Run("queue="+q.name, func(t *testing.T) {
+			cfg := Config{Trace: tr, Policy: policy.Priority{}, Partitioned: true, Overcommit: 0.5, useHeapQueue: q.heap}
+			idx, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.ReferencePlacement = true
+			ref, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(normalizeScanMeters(idx), normalizeScanMeters(ref)) {
+				t.Fatalf("partitioned indexed run diverged:\nindexed   %+v\nreference %+v", *idx, *ref)
+			}
+		})
 	}
 }
 
@@ -242,10 +236,9 @@ func TestIndexedEngineMatchesReferencePartitioned(t *testing.T) {
 // produce Results bit-for-bit identical to the retained full linear
 // scan (FullPressureScan) and to the brute-force reference path, across
 // every synthetic scenario plus shocked and risk/portfolio workloads,
-// and across shard counts {1,4} × placement-partition counts {1,3,8} in
-// BOTH scan modes. The workloads must actually exercise the machinery —
-// pressured arrivals AND a nonzero prune count — or the suite is
-// vacuous.
+// and across shard counts {1,4} × both event queues in BOTH scan
+// modes. The workloads must actually exercise the machinery — pressured
+// arrivals AND a nonzero prune count — or the suite is vacuous.
 func TestPressurePruningDifferential(t *testing.T) {
 	workloads := []struct {
 		name string
@@ -322,18 +315,17 @@ func TestPressurePruningDifferential(t *testing.T) {
 				t.Fatalf("full scan diverged from reference:\nfull %+v\nref  %+v", *full, *ref)
 			}
 			for _, shards := range []int{1, 4} {
-				for _, parts := range []int{1, 3, 8} {
-					name := fmt.Sprintf("shards=%d/partitions=%d", shards, parts)
-					t.Run(name, func(t *testing.T) {
+				for _, q := range eventQueues {
+					t.Run(fmt.Sprintf("shards=%d/queue=%s", shards, q.name), func(t *testing.T) {
 						cfg := base
 						cfg.Shards = shards
-						cfg.PlacementPartitions = parts
+						cfg.useHeapQueue = q.heap
 						got, err := Run(cfg)
 						if err != nil {
 							t.Fatal(err)
 						}
 						// Raw comparison: the pruned meters themselves are
-						// partition- and shard-invariant.
+						// shard- and queue-invariant.
 						if !reflect.DeepEqual(got, pruned) {
 							t.Fatalf("pruned run diverged from sequential:\ngot %+v\nseq %+v", *got, *pruned)
 						}

@@ -114,10 +114,10 @@ type Engine struct {
 	sloViolByLevel []uint64
 	sloSampleCount uint64
 
-	// Arrival-batch scratch, reused across handleArrivals calls.
-	dcBuf   []hypervisor.DomainConfig
-	prioBuf []float64
-	plBuf   []cluster.Placement
+	// Arrival scratch, reused across handleArrival calls: the one-VM
+	// placement batch and its result buffer.
+	dcBuf [1]hypervisor.DomainConfig
+	plBuf []cluster.Placement
 }
 
 // minShardedSample is the running-set size below which the sample pass
@@ -177,7 +177,7 @@ func (e *Engine) Run() (*Result, error) {
 // manager with its provisioned servers, the event queue seeded with the
 // trace and the shock schedule, and the metric accumulators. Split from
 // the event loop so white-box benchmarks can stand a populated cluster
-// up and drive individual passes. The caller owns e.mgr.Close().
+// up and drive individual passes.
 func (e *Engine) setupDeflation() error {
 	cfg := e.cfg
 	mgrCfg := cluster.Config{
@@ -189,7 +189,6 @@ func (e *Engine) setupDeflation() error {
 		ReferencePlacement:  cfg.ReferencePlacement,
 		FullPressureScan:    cfg.FullPressureScan,
 		ReinflateShards:     e.shards,
-		PlacementPartitions: cfg.PlacementPartitions,
 		CollectTimings:      cfg.Timings != nil,
 	}
 	if cfg.Risk != nil {
@@ -253,7 +252,6 @@ func (e *Engine) setupDeflation() error {
 			}
 		}
 		if _, err := e.mgr.AddServerSpec(spec); err != nil {
-			e.mgr.Close()
 			return err
 		}
 	}
@@ -308,7 +306,6 @@ func (e *Engine) runDeflation() (*Result, error) {
 	if err := e.setupDeflation(); err != nil {
 		return nil, err
 	}
-	defer e.mgr.Close() // stop the partition phase workers with the run
 
 	// Reusable scratch for departure batching, so the hot loop does not
 	// allocate per event.
@@ -331,42 +328,20 @@ func (e *Engine) runDeflation() (*Result, error) {
 				e.queue.push(simEvent{at: next, kind: evSample})
 			}
 		case evArrival:
-			// Coalesce the run of arrivals sharing this timestamp into one
-			// batch for the manager's propose/commit placement engine. The
-			// queue's (time, kind, seq) order guarantees the batch is
-			// exactly the simultaneous arrivals, in trace order — the
-			// canonical commit order, so results are identical at any
-			// partition count (and to placing them one at a time). One
-			// exception preserves the departures-before-arrivals invariant
-			// of eventKind: a zero-lifetime VM (End == arrival instant,
-			// possible in hand-written CSV traces; the synthetic
-			// generators clip lifetimes to >= SampleInterval) departs at
-			// this same instant, and that departure must free its capacity
-			// for the arrivals still queued behind it — so it closes the
-			// batch, its departure event outranks the remaining arrivals,
-			// and the loop resumes batching after processing it.
-			batch = batch[:0]
-			batch = append(batch, ev)
-			if ev.vm.End > ev.at { // a zero-lifetime first VM is a singleton batch
-				for !e.queue.empty() {
-					next := e.queue.peek()
-					if next.at != ev.at || next.kind != evArrival {
-						break
-					}
-					nb := e.queue.pop()
-					batch = append(batch, nb)
-					if nb.vm.End <= nb.at {
-						break // zero-lifetime VM closes the batch (see above)
-					}
-				}
-			}
-			e.handleArrivals(batch)
+			// Each arrival is placed as it pops, in the queue's
+			// (time, kind, seq) order. A zero-lifetime VM (End == arrival
+			// instant, possible in hand-written CSV traces; the synthetic
+			// generators clip lifetimes to >= SampleInterval) pushes its
+			// departure at this same instant, and the departure outranks
+			// the arrivals still queued there (eventKind), so its capacity
+			// is freed before they are placed.
+			e.handleArrival(ev)
 		case evRevoke:
 			// Coalesce the run of revocations sharing this timestamp —
 			// a rack-sized correlated shock — into ONE multi-server
 			// revocation, so every displaced VM across the whole shock
-			// relocates through a single batch of the propose/commit
-			// engine, in (server order, VM name) evacuation order.
+			// relocates through a single placement batch, in
+			// (server order, VM name) evacuation order.
 			batch = batch[:0]
 			batch = append(batch, ev)
 			for !e.queue.empty() {
@@ -501,7 +476,6 @@ func (e *Engine) runDeflation() (*Result, error) {
 	}
 	if cfg.Timings != nil {
 		pt := e.mgr.PhaseTimings()
-		cfg.Timings.Propose += pt.Propose
 		cfg.Timings.Commit += pt.Commit
 		cfg.Timings.Surplus += pt.Surplus
 		cfg.Timings.Pressure += pt.Pressure
@@ -740,104 +714,87 @@ func (e *Engine) closeVM(vt *vmTracking, at float64) {
 	}
 }
 
-// handleArrivals admits one same-timestamp batch of VMs through the
-// manager's batch placement (propose in parallel across placement
-// partitions, commit serially in trace order — identical to placing
-// them one at a time), scheduling departures only for placements that
-// succeed (rejected VMs leave no residue in the queue). Admission-time
-// billing reads Placement.Initial — the allocation the VM launched
-// with, before any later commit of the same batch deflated it — which
-// is exactly what the one-at-a-time engine observed.
-func (e *Engine) handleArrivals(evs []simEvent) {
+// handleArrival admits one VM through the manager's placement,
+// scheduling its departure only when the placement succeeds (rejected
+// VMs leave no residue in the queue). Admission-time billing reads
+// Placement.Initial, the allocation the VM launched with.
+func (e *Engine) handleArrival(ev simEvent) {
 	cfg := e.cfg
 	streamed := cfg.Stream != nil
-	dcs := e.dcBuf[:0]
-	prios := e.prioBuf[:0]
-	for _, ev := range evs {
-		vm := ev.vm
-		deflatable := vm.Class == trace.Interactive
-		var prio float64
-		dc := hypervisor.DomainConfig{
-			Name:       vm.ID,
-			Size:       vmSize(vm),
-			Deflatable: deflatable,
-		}
-		switch {
-		case !deflatable:
-			// On-demand VM: its priority is 0, and nothing downstream
-			// reads an on-demand VM's p95-derived prio (no meters, no SLO
-			// samples), so skip the series read.
-		case streamed:
-			// The record carries no materialised series; synthesize it
-			// once into the reusable buffer for the P95 the priority
-			// quantises, reading the admission-instant load off sample 0
-			// (ev.at is exactly vm.Start) before the selection reorders
-			// the buffer. Same bits as the eager reads.
-			p := cfg.Stream.Params(ev.seq)
-			e.utilBuf = e.synth.Append(p, e.utilBuf[:0])
-			if cfg.SLO != nil {
-				dc.Load = e.utilBuf[0] / 100 * float64(vm.Cores)
-			}
-			prio = policy.PriorityFromP95(stats.PercentileInPlace(e.utilBuf, 95), cfg.PriorityLevels)
-			dc.Priority = prio
-		default:
-			// vm.P95() without its per-call copy: select in the reusable
-			// buffer, leaving the record's series untouched.
-			e.utilBuf = append(e.utilBuf[:0], vm.CPUUtil...)
-			prio = policy.PriorityFromP95(stats.PercentileInPlace(e.utilBuf, 95), cfg.PriorityLevels)
-			dc.Priority = prio
-			if cfg.SLO != nil {
-				// Seed the admission-time offered load so the VM's own
-				// admission pass (and any deflation it triggers) sees it.
-				dc.Load = vm.UtilAt(ev.at) / 100 * float64(vm.Cores)
-			}
-		}
-		dcs = append(dcs, dc)
-		prios = append(prios, prio)
+	vm := ev.vm
+	deflatable := vm.Class == trace.Interactive
+	var prio float64
+	dc := hypervisor.DomainConfig{
+		Name:       vm.ID,
+		Size:       vmSize(vm),
+		Deflatable: deflatable,
 	}
-	e.dcBuf, e.prioBuf = dcs, prios
+	switch {
+	case !deflatable:
+		// On-demand VM: its priority is 0, and nothing downstream reads
+		// an on-demand VM's p95-derived prio (no meters, no SLO samples),
+		// so skip the series read.
+	case streamed:
+		// The record carries no materialised series; synthesize it once
+		// into the reusable buffer for the P95 the priority quantises,
+		// reading the admission-instant load off sample 0 (ev.at is
+		// exactly vm.Start) before the selection reorders the buffer.
+		// Same bits as the eager reads.
+		p := cfg.Stream.Params(ev.seq)
+		e.utilBuf = e.synth.Append(p, e.utilBuf[:0])
+		if cfg.SLO != nil {
+			dc.Load = e.utilBuf[0] / 100 * float64(vm.Cores)
+		}
+		prio = policy.PriorityFromP95(stats.PercentileInPlace(e.utilBuf, 95), cfg.PriorityLevels)
+		dc.Priority = prio
+	default:
+		// vm.P95() without its per-call copy: select in the reusable
+		// buffer, leaving the record's series untouched.
+		e.utilBuf = append(e.utilBuf[:0], vm.CPUUtil...)
+		prio = policy.PriorityFromP95(stats.PercentileInPlace(e.utilBuf, 95), cfg.PriorityLevels)
+		dc.Priority = prio
+		if cfg.SLO != nil {
+			// Seed the admission-time offered load so the VM's own
+			// admission pass (and any deflation it triggers) sees it.
+			dc.Load = vm.UtilAt(ev.at) / 100 * float64(vm.Cores)
+		}
+	}
 
-	e.plBuf = e.mgr.PlaceVMs(dcs, e.plBuf[:0])
-	placements := e.plBuf
-	for i, ev := range evs {
-		e.res.Arrivals++
-		pl := placements[i]
-		// Count reclamation attempts: did this placement need deflation?
-		// The batch evaluates the check against the same state the
-		// placement decision saw.
-		if pl.NeedsReclaim {
-			e.res.ReclamationAttempts++
-		}
-		if pl.Err != nil {
-			e.res.Rejected++
-			continue
-		}
-		e.res.Admitted++
-		vm := ev.vm
-		vt := &vmTracking{rec: vm, domain: pl.Domain, admitT: ev.at, prio: prios[i]}
-		if dcs[i].Deflatable {
-			e.res.DeflatableAdmitted++
-			vt.meters = make([]pricing.Meter, len(cfg.PricingSchemes))
-			for j, s := range cfg.PricingSchemes {
-				vt.meters[j].Observe(ev.at/3600, s.Rate(dcs[i].Size, prios[i], pl.Initial))
-			}
-		}
-		if streamed {
-			// Bind a utilisation cursor for the VM's lifetime, recycled
-			// through the free list so steady-state churn allocates
-			// nothing.
-			var cur *trace.UtilCursor
-			if n := len(e.cursorFree); n > 0 {
-				cur, e.cursorFree = e.cursorFree[n-1], e.cursorFree[:n-1]
-			} else {
-				cur = trace.NewUtilCursor()
-			}
-			cur.Reset(cfg.Stream.Params(ev.seq))
-			vt.cur = cur
-		}
-		e.addRunning(vm.ID, vt)
-		e.queue.push(simEvent{at: vm.End, kind: evDeparture, vm: vm, seq: ev.seq})
+	e.dcBuf[0] = dc
+	e.plBuf = e.mgr.PlaceVMs(e.dcBuf[:], e.plBuf[:0])
+	pl := e.plBuf[0]
+	e.res.Arrivals++
+	// Count reclamation attempts: did this placement need deflation?
+	if pl.NeedsReclaim {
+		e.res.ReclamationAttempts++
 	}
+	if pl.Err != nil {
+		e.res.Rejected++
+		return
+	}
+	e.res.Admitted++
+	vt := &vmTracking{rec: vm, domain: pl.Domain, admitT: ev.at, prio: prio}
+	if deflatable {
+		e.res.DeflatableAdmitted++
+		vt.meters = make([]pricing.Meter, len(cfg.PricingSchemes))
+		for j, s := range cfg.PricingSchemes {
+			vt.meters[j].Observe(ev.at/3600, s.Rate(dc.Size, prio, pl.Initial))
+		}
+	}
+	if streamed {
+		// Bind a utilisation cursor for the VM's lifetime, recycled
+		// through the free list so steady-state churn allocates nothing.
+		var cur *trace.UtilCursor
+		if n := len(e.cursorFree); n > 0 {
+			cur, e.cursorFree = e.cursorFree[n-1], e.cursorFree[:n-1]
+		} else {
+			cur = trace.NewUtilCursor()
+		}
+		cur.Reset(cfg.Stream.Params(ev.seq))
+		vt.cur = cur
+	}
+	e.addRunning(vm.ID, vt)
+	e.queue.push(simEvent{at: vm.End, kind: evDeparture, vm: vm, seq: ev.seq})
 }
 
 // sampleVM accumulates demand/loss, SLO state and allocation-based

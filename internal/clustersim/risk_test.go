@@ -77,10 +77,10 @@ const minAwareRevenueShare = 0.7
 // TestRiskDifferential is the acceptance guarantee for the risk
 // tentpole: a portfolio fleet with hazard-banded placement and the
 // headroom admission gate active must produce bit-for-bit identical
-// results across shard counts {1,4} x placement-partition counts
-// {1,3,8} and against the brute-force reference path — and the run
-// must actually exercise the new machinery (revocations AND headroom
-// rejections), or the suite is vacuous.
+// results across shard counts {1,4} × both event queues and against
+// the brute-force reference path — and the run must actually exercise
+// the new machinery (revocations AND headroom rejections), or the suite
+// is vacuous.
 func TestRiskDifferential(t *testing.T) {
 	tr := testTrace(400)
 	base := riskConfig(tr)
@@ -107,11 +107,11 @@ func TestRiskDifferential(t *testing.T) {
 		t.Fatalf("sequential diverged from reference:\nseq %+v\nref %+v", *seq, *ref)
 	}
 	for _, shards := range []int{1, 4} {
-		for _, parts := range []int{1, 3, 8} {
-			t.Run(fmt.Sprintf("shards=%d/partitions=%d", shards, parts), func(t *testing.T) {
+		for _, q := range eventQueues {
+			t.Run(fmt.Sprintf("shards=%d/queue=%s", shards, q.name), func(t *testing.T) {
 				cfg := base
 				cfg.Shards = shards
-				cfg.PlacementPartitions = parts
+				cfg.useHeapQueue = q.heap
 				got, err := Run(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -185,7 +185,6 @@ func TestPortfolioShapesSchedule(t *testing.T) {
 	if err := eng.setupDeflation(); err != nil {
 		t.Fatal(err)
 	}
-	defer eng.mgr.Close()
 	assign := portfolioAssign(cfg.Portfolio, eng.nServers)
 	sc := *cfg.ShockConfig
 	sc.Duration = 2 * 86400
@@ -216,7 +215,7 @@ func TestPortfolioShapesSchedule(t *testing.T) {
 // server at one instant (two back-to-back outages, not a dropped one).
 // The restore must free its capacity before the same-instant
 // revocation's evacuation places into it, on every engine
-// configuration, bit for bit.
+// configuration and under either event queue, bit for bit.
 func TestSameInstantRestoreRevokeRace(t *testing.T) {
 	tr := testTrace(350)
 	h := tr.Duration()
@@ -255,18 +254,21 @@ func TestSameInstantRestoreRevokeRace(t *testing.T) {
 	if !reflect.DeepEqual(normalizeScanMeters(seq), normalizeScanMeters(ref)) {
 		t.Fatalf("sequential diverged from reference:\nseq %+v\nref %+v", *seq, *ref)
 	}
-	for _, parts := range []int{1, 3, 8} {
-		t.Run(fmt.Sprintf("partitions=%d", parts), func(t *testing.T) {
-			cfg := base
-			cfg.PlacementPartitions = parts
-			got, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, seq) {
-				t.Fatalf("raced run diverged from sequential:\ngot %+v\nseq %+v", *got, *seq)
-			}
-		})
+	for _, shards := range []int{1, 4} {
+		for _, q := range eventQueues {
+			t.Run(fmt.Sprintf("shards=%d/queue=%s", shards, q.name), func(t *testing.T) {
+				cfg := base
+				cfg.Shards = shards
+				cfg.useHeapQueue = q.heap
+				got, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, seq) {
+					t.Fatalf("raced run diverged from sequential:\ngot %+v\nseq %+v", *got, *seq)
+				}
+			})
+		}
 	}
 }
 

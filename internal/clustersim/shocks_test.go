@@ -82,9 +82,9 @@ func TestRevocationRunsProcessShocks(t *testing.T) {
 
 // TestRevocationDifferential is the acceptance guarantee of the
 // transient-server refactor: under revocation churn, runs are
-// bit-for-bit identical across shard counts {1,4} × placement-partition
-// counts {1,3,8} and against the brute-force reference placement path,
-// across scenarios and shock schedules.
+// bit-for-bit identical across shard counts {1,4} × both event queues
+// and against the brute-force reference placement path, across
+// scenarios and shock schedules.
 func TestRevocationDifferential(t *testing.T) {
 	scenarios := []trace.Scenario{trace.ScenarioDiurnal, trace.ScenarioHeavyTail}
 	shockKinds := []trace.ShockScenario{trace.ShockPoisson, trace.ShockRack}
@@ -116,12 +116,11 @@ func TestRevocationDifferential(t *testing.T) {
 				t.Fatalf("%v/%v: sequential diverged from reference:\nseq %+v\nref %+v", kind, shockKind, *seq, *ref)
 			}
 			for _, shards := range []int{1, 4} {
-				for _, parts := range []int{1, 3, 8} {
-					name := fmt.Sprintf("%v/%v/shards=%d/partitions=%d", kind, shockKind, shards, parts)
-					t.Run(name, func(t *testing.T) {
+				for _, q := range eventQueues {
+					t.Run(fmt.Sprintf("%v/%v/shards=%d/queue=%s", kind, shockKind, shards, q.name), func(t *testing.T) {
 						cfg := base
 						cfg.Shards = shards
-						cfg.PlacementPartitions = parts
+						cfg.useHeapQueue = q.heap
 						got, err := Run(cfg)
 						if err != nil {
 							t.Fatal(err)

@@ -14,9 +14,9 @@ import (
 // arrival, utilisation synthesized through cursors, arrivals never
 // materialised into the queue — produces a Result bit-for-bit identical
 // to running the materialised form of the same stream, across all four
-// scenarios, seeds, and shard/partition parallelism.
+// scenarios, seeds, shard counts and both event queues (streamed
+// arrivals feed the queue lazily, eager ones are seeded up front).
 func TestStreamedEngineMatchesEager(t *testing.T) {
-	combos := []struct{ shards, parts int }{{1, 1}, {4, 3}}
 	for _, kind := range trace.Scenarios() {
 		for _, seed := range []int64{1, 2} {
 			scfg := trace.ScenarioConfig{Kind: kind, NumVMs: 400, Duration: 86400, Seed: seed}
@@ -25,31 +25,33 @@ func TestStreamedEngineMatchesEager(t *testing.T) {
 				t.Fatal(err)
 			}
 			tr := s.Materialize()
-			for _, c := range combos {
-				name := fmt.Sprintf("%v/seed=%d/shards=%d/parts=%d", kind, seed, c.shards, c.parts)
-				t.Run(name, func(t *testing.T) {
-					base := Config{
-						Policy:              policy.Priority{},
-						Overcommit:          0.5,
-						Shards:              c.shards,
-						PlacementPartitions: c.parts,
-					}
-					eagerCfg := base
-					eagerCfg.Trace = tr
-					eager, err := Run(eagerCfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					streamCfg := base
-					streamCfg.Stream = s
-					streamed, err := Run(streamCfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(streamed, eager) {
-						t.Fatalf("streamed run diverged from eager:\nstreamed %+v\neager    %+v", *streamed, *eager)
-					}
-				})
+			for _, shards := range []int{1, 4} {
+				for _, q := range eventQueues {
+					name := fmt.Sprintf("%v/seed=%d/shards=%d/queue=%s", kind, seed, shards, q.name)
+					t.Run(name, func(t *testing.T) {
+						base := Config{
+							Policy:       policy.Priority{},
+							Overcommit:   0.5,
+							Shards:       shards,
+							useHeapQueue: q.heap,
+						}
+						eagerCfg := base
+						eagerCfg.Trace = tr
+						eager, err := Run(eagerCfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						streamCfg := base
+						streamCfg.Stream = s
+						streamed, err := Run(streamCfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(streamed, eager) {
+							t.Fatalf("streamed run diverged from eager:\nstreamed %+v\neager    %+v", *streamed, *eager)
+						}
+					})
+				}
 			}
 		}
 	}
@@ -57,9 +59,9 @@ func TestStreamedEngineMatchesEager(t *testing.T) {
 
 // TestStreamedEngineMatchesEagerFullFeatures drives the whole surface
 // at once — priority partitioning, SLO metering, Poisson capacity
-// shocks (revocations force evacuation and remaining-demand kills),
-// sharded sampling and partitioned placement — and still requires
-// bit-for-bit Result equality between the streamed and eager forms.
+// shocks (revocations force evacuation and remaining-demand kills) and
+// sharded sampling — and still requires bit-for-bit Result equality
+// between the streamed and eager forms, under either event queue.
 func TestStreamedEngineMatchesEagerFullFeatures(t *testing.T) {
 	s, err := trace.NewStream(trace.ScenarioConfig{
 		Kind: trace.ScenarioBursty, NumVMs: 500, Duration: 2 * 86400, Seed: 3,
@@ -68,32 +70,36 @@ func TestStreamedEngineMatchesEagerFullFeatures(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := s.Materialize()
-	base := Config{
-		Policy:              policy.Priority{},
-		Partitioned:         true,
-		Overcommit:          0.4,
-		Shards:              4,
-		PlacementPartitions: 2,
-		SLO:                 &SLOConfig{},
-		ShockConfig:         testShockConfig(11),
-	}
-	eagerCfg := base
-	eagerCfg.Trace = tr
-	eager, err := Run(eagerCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eager.Revocations == 0 || eager.SLOSampleSeconds == 0 {
-		t.Fatalf("test premise broken: want shocks and SLO samples, got %+v", *eager)
-	}
-	streamCfg := base
-	streamCfg.Stream = s
-	streamed, err := Run(streamCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(streamed, eager) {
-		t.Fatalf("streamed full-feature run diverged:\nstreamed %+v\neager    %+v", *streamed, *eager)
+	for _, q := range eventQueues {
+		t.Run("queue="+q.name, func(t *testing.T) {
+			base := Config{
+				Policy:       policy.Priority{},
+				Partitioned:  true,
+				Overcommit:   0.4,
+				Shards:       4,
+				SLO:          &SLOConfig{},
+				ShockConfig:  testShockConfig(11),
+				useHeapQueue: q.heap,
+			}
+			eagerCfg := base
+			eagerCfg.Trace = tr
+			eager, err := Run(eagerCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eager.Revocations == 0 || eager.SLOSampleSeconds == 0 {
+				t.Fatalf("test premise broken: want shocks and SLO samples, got %+v", *eager)
+			}
+			streamCfg := base
+			streamCfg.Stream = s
+			streamed, err := Run(streamCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(streamed, eager) {
+				t.Fatalf("streamed full-feature run diverged:\nstreamed %+v\neager    %+v", *streamed, *eager)
+			}
+		})
 	}
 }
 
@@ -214,19 +220,22 @@ func TestStreamedTimingsPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Run(Config{Stream: s, Overcommit: 0.5, PlacementPartitions: 2})
+	plain, err := Run(Config{Stream: s, Overcommit: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var pt PhaseTimings
-	timed, err := Run(Config{Stream: s, Overcommit: 0.5, PlacementPartitions: 2, Timings: &pt})
+	timed, err := Run(Config{Stream: s, Overcommit: 0.5, Timings: &pt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(plain, timed) {
 		t.Fatalf("timing collection changed the Result:\nplain %+v\ntimed %+v", *plain, *timed)
 	}
-	if pt.Propose <= 0 || pt.Commit <= 0 || pt.Sample <= 0 {
-		t.Fatalf("expected nonzero propose/commit/sample timings, got %+v", pt)
+	if pt.Commit <= 0 || pt.Sample <= 0 {
+		t.Fatalf("expected nonzero commit/sample timings, got %+v", pt)
+	}
+	if pt.Propose != 0 {
+		t.Fatalf("Propose = %v, want always zero (no proposal phase)", pt.Propose)
 	}
 }
