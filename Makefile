@@ -1,6 +1,6 @@
 # Developer/CI entry points. `make ci` is what the GitHub Actions
 # workflow runs: vet, race-enabled tests, bounded fuzzing of the
-# capacity index, a one-shot smoke of the
+# capacity index and the CSV trace boundary, a one-shot smoke of the
 # parallel sweep benchmark, the zero-allocation gate on the placement
 # policy hot path, and the 50k-VM capacity-index scale smoke (whose
 # BENCH_scale.json report CI archives as a build artifact).
@@ -31,13 +31,15 @@ race:
 race-placement:
 	$(GO) test -race -run 'PlaceVMs|Sharded|Shards|Concurrent|Preemption|Revo|Shock|Resize|Risk|Hazard|Headroom|Pressure' ./internal/cluster ./internal/clustersim
 
-# Bounded native fuzzing of the capacity index package: the dirty set
-# and the surplus index against their map oracles. -fuzz takes one
-# target per package run, so each target gets its own run.
+# Bounded native fuzzing: the capacity index package's dirty set and
+# surplus index against their map oracles, and the Azure CSV trace
+# boundary through the simulation engine. -fuzz takes one target per
+# package run, so each target gets its own run.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDirtySet$$' -fuzztime $(FUZZTIME) ./internal/cluster/capindex
 	$(GO) test -run '^$$' -fuzz '^FuzzIndex$$' -fuzztime $(FUZZTIME) ./internal/cluster/capindex
+	$(GO) test -run '^$$' -fuzz '^FuzzReadAzureCSV$$' -fuzztime $(FUZZTIME) ./internal/clustersim
 
 # One iteration of the 10k-VM sweep benchmarks: proves the parallel
 # engine end-to-end without the cost of a full benchmark session.

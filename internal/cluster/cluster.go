@@ -164,9 +164,13 @@ type RiskConfig struct {
 	// reserve protects). Default 0.75.
 	HighPriority float64
 	// MaxBands is how many hazard bands servers quantise into; the
-	// banded candidate order prefers lower bands. Default 4.
+	// banded candidate order prefers lower bands. Default
+	// DefaultRiskBands.
 	MaxBands int
 }
+
+// DefaultRiskBands is RiskConfig.MaxBands's default band count.
+const DefaultRiskBands = 4
 
 func (c *Config) applyDefaults() {
 	if c.Policy == nil {
@@ -187,7 +191,7 @@ func (c *Config) applyDefaults() {
 			r.HighPriority = 0.75
 		}
 		if r.MaxBands <= 0 {
-			r.MaxBands = 4
+			r.MaxBands = DefaultRiskBands
 		}
 		c.Risk = &r
 	}

@@ -5,14 +5,24 @@
 //
 // # Architecture
 //
-// The package is layered as three cooperating pieces:
+// The package is layered as cooperating pieces:
 //
-//   - events.go — the event core: a container/heap-backed pending-event
-//     queue with typed sample/departure/arrival events and a stable
-//     (time, kind, trace-index) total order. Departures are scheduled
+//   - source.go — the one input path: Config.Trace (materialised,
+//     synthetic or CSV) and Config.Stream (lazily generated) adapt into
+//     one VM source, so nothing downstream asks which input it got.
+//   - geometry.go — one validating metadata pass over the source: the
+//     sorted arrival (and, for sizing and pool planning, departure)
+//     order, the (time, departures-first, index) merge walk, the
+//     peak-demand bound, the tightest-fit feasibility replay and the
+//     priority-pool plan.
+//   - events.go and calendar.go — the event core: typed
+//     sample/departure/shock/arrival events in a strict (time, kind,
+//     trace-index) total order, a live-set queue (calendar, or the
+//     container/heap reference) and the source queue that overlays the
+//     source's pre-sorted arrivals on it. Departures are scheduled
 //     lazily when a VM is admitted and sample events reschedule
-//     themselves, so a run never materialises and sorts the whole
-//     trace's event list up front.
+//     themselves, so a run never materialises the whole trace's event
+//     list.
 //   - engine.go — the Engine: one self-contained run. It owns every
 //     piece of mutable state (cluster manager, running set, queue,
 //     metric accumulators), which makes independent runs share-nothing
@@ -189,7 +199,9 @@ type PhaseTimings struct {
 type Config struct {
 	// Trace supplies VM arrivals, sizes, classes and utilisation. The
 	// trace is treated as immutable: concurrent engines may share one.
-	// Exactly one of Trace and Stream must be set.
+	// Exactly one of Trace and Stream must be set; the engine adapts
+	// either into the same VM source, and NewEngine rejects a malformed
+	// VM (trace.CheckVM, or an empty utilisation series) with an error.
 	Trace *trace.AzureTrace
 	// Stream supplies the same trace lazily: per-VM parameters are
 	// generated when the simulation reaches each arrival and
@@ -199,8 +211,7 @@ type Config struct {
 	// form of the same stream through Trace (guarded by the streamed
 	// differential suite). A Stream is immutable: concurrent engines
 	// may share one. Streamed runs support deflation mode only; the
-	// preemption baseline needs whole-trace lookahead and keeps the
-	// eager API.
+	// preemption baseline keeps the eager API.
 	Stream *trace.Stream
 	// Mode selects deflation or the preemption baseline.
 	Mode Mode
@@ -472,22 +483,16 @@ type Result struct {
 // rejections": starting from the peak-aggregate-demand lower bound, the
 // count grows until a full-allocation bin-packing replay of the trace
 // admits every VM (fragmentation can push the answer above the
-// aggregate bound). It fails if any single VM exceeds a server.
+// aggregate bound). It fails if any single VM exceeds a server or the
+// trace is malformed.
 func BaselineServerCount(tr *trace.AzureTrace, serverCap resources.Vector) (int, error) {
-	evs := buildEvents(tr)
-	lb, err := peakLowerBound(evs, serverCap)
-	if err != nil {
-		return 0, err
-	}
-	// Fragmentation can exceed the aggregate bound, but not without
-	// limit; 4x is a generous safety margin that turns a logic error
-	// into a diagnosable failure instead of an unbounded search.
-	for n := lb; n <= 4*lb+4; n++ {
-		if fullAllocationFeasible(evs, n, serverCap) {
-			return n, nil
-		}
-	}
-	return 0, fmt.Errorf("clustersim: no feasible packing within %d servers", 4*lb+4)
+	return baselineServerCount(sourceOf(tr, nil), serverCap)
+}
+
+// BaselineServerCountStream is BaselineServerCount for a streamed
+// trace, with the identical result.
+func BaselineServerCountStream(s *trace.Stream, serverCap resources.Vector) (int, error) {
+	return baselineServerCount(sourceOf(nil, s), serverCap)
 }
 
 // PeakServerLowerBound returns the aggregate-demand lower bound on the
@@ -498,32 +503,33 @@ func BaselineServerCount(tr *trace.AzureTrace, serverCap resources.Vector) (int,
 // 100k-VM-scale benchmarks, where the packing replay would dwarf the
 // simulation being measured.
 func PeakServerLowerBound(tr *trace.AzureTrace, serverCap resources.Vector) (int, error) {
-	return peakLowerBound(buildEvents(tr), serverCap)
+	return peakServerLowerBound(sourceOf(tr, nil), serverCap)
 }
 
-// peakLowerBound is the shared core of the two bounds above, taking a
-// prebuilt event list so BaselineServerCount sorts the trace only once.
-func peakLowerBound(evs []event, serverCap resources.Vector) (int, error) {
-	var cur, peak resources.Vector
-	for _, e := range evs {
-		size := vmSize(e.vm)
-		if e.arrival {
-			if !size.FitsIn(serverCap) {
-				return 0, fmt.Errorf("clustersim: VM %s (%v) exceeds server capacity %v",
-					e.vm.ID, size, serverCap)
-			}
-			cur = cur.Add(size)
-			peak = peak.Max(cur)
-		} else {
-			cur = cur.Sub(size)
-		}
+// PeakServerLowerBoundStream is PeakServerLowerBound for a streamed
+// trace, with the identical result.
+func PeakServerLowerBoundStream(s *trace.Stream, serverCap resources.Vector) (int, error) {
+	return peakServerLowerBound(sourceOf(nil, s), serverCap)
+}
+
+func baselineServerCount(src vmSource, serverCap resources.Vector) (int, error) {
+	g, err := newGeometry(src, true)
+	if err != nil {
+		return 0, err
 	}
-	return serversForPeak(peak, serverCap), nil
+	return g.baselineServers(src, serverCap)
+}
+
+func peakServerLowerBound(src vmSource, serverCap resources.Vector) (int, error) {
+	g, err := newGeometry(src, true)
+	if err != nil {
+		return 0, err
+	}
+	return g.peakServers(src, serverCap)
 }
 
 // serversForPeak converts a peak committed-demand vector into the
-// per-dimension server-count lower bound. Shared by the eager and
-// streamed bounds so both round identically.
+// per-dimension server-count lower bound.
 func serversForPeak(peak, serverCap resources.Vector) int {
 	lb := 1
 	for _, k := range resources.Kinds {
@@ -536,37 +542,6 @@ func serversForPeak(peak, serverCap resources.Vector) int {
 		}
 	}
 	return lb
-}
-
-// fullAllocationFeasible replays the trace at full allocations on n
-// servers with tightest-fit placement (minimise the chosen server's
-// leftover dominant share) and reports whether every VM fits. Tightest
-// fit keeps large servers whole so big VMs stay placeable — the right
-// objective for a feasibility bound, as opposed to the load-balancing
-// objective used for live deflation-aware placement.
-func fullAllocationFeasible(evs []event, n int, serverCap resources.Vector) bool {
-	free := make([]resources.Vector, n)
-	for i := range free {
-		free[i] = serverCap
-	}
-	where := make(map[string]int, len(evs)/2)
-	for _, e := range evs {
-		size := vmSize(e.vm)
-		if !e.arrival {
-			if s, ok := where[e.vm.ID]; ok {
-				free[s] = free[s].Add(size)
-				delete(where, e.vm.ID)
-			}
-			continue
-		}
-		best := tightestFit(free, size, serverCap)
-		if best < 0 {
-			return false
-		}
-		free[best] = free[best].Sub(size)
-		where[e.vm.ID] = best
-	}
-	return true
 }
 
 // tightestFit returns the index of the fitting server whose leftover
@@ -599,52 +574,9 @@ func Run(cfg Config) (*Result, error) {
 	return e.Run()
 }
 
-// partitionPlan assigns servers to priority pools proportionally to the
-// trace's committed demand per pool ("the size of the different pools
-// can be based on the typical workload mix", Section 5.2.1).
-func partitionPlan(cfg Config, nServers int) []int {
-	out := make([]int, nServers)
-	if !cfg.Partitioned {
-		return out // all zeros; ignored when partitioning is off
-	}
-	levels := cfg.PriorityLevels
-	// Size pools by *peak concurrent* demand per level, not total
-	// VM-hours: pools sized on averages run out of room at their own
-	// peaks and deflate even when the cluster as a whole has slack.
-	demand := make([]float64, levels)
-	current := make([]float64, levels)
-	levelOf := func(vm *trace.VMRecord) int {
-		lvl := levels - 1 // on-demand pool
-		if vm.Class == trace.Interactive {
-			p := policy.PriorityFromP95(vm.P95(), levels)
-			lvl = int(p*float64(levels)) - 1
-			if lvl < 0 {
-				lvl = 0
-			}
-			if lvl >= levels {
-				lvl = levels - 1
-			}
-		}
-		return lvl
-	}
-	for _, e := range buildEvents(cfg.Trace) {
-		lvl := levelOf(e.vm)
-		if e.arrival {
-			current[lvl] += float64(e.vm.Cores)
-			if current[lvl] > demand[lvl] {
-				demand[lvl] = current[lvl]
-			}
-		} else {
-			current[lvl] -= float64(e.vm.Cores)
-		}
-	}
-	return allocatePools(out, demand, nServers, levels)
-}
-
 // allocatePools fills out with per-server pool assignments sized
 // proportionally to the per-level peak demand: largest-remainder
-// allocation with at least one server per non-empty pool. Shared by the
-// eager and streamed partition planners.
+// allocation with at least one server per non-empty pool.
 func allocatePools(out []int, demand []float64, nServers, levels int) []int {
 	var total float64
 	for _, d := range demand {

@@ -2,6 +2,8 @@ package clustersim
 
 import (
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 
 	"vmdeflate/internal/mechanism"
@@ -284,20 +286,76 @@ func TestVMSizeVector(t *testing.T) {
 	}
 }
 
-func TestBuildEventsOrdering(t *testing.T) {
-	tr := &trace.AzureTrace{VMs: []*trace.VMRecord{
-		{ID: "a", Cores: 1, MemoryMB: 1024, Start: 0, End: 100},
-		{ID: "b", Cores: 1, MemoryMB: 1024, Start: 100, End: 200},
+// refEvent and refEventOrder are the independent oracle for the
+// geometry's merge walk: every arrival and departure of a materialised
+// trace, sorted outright by (time, departures-first, trace index).
+type refEvent struct {
+	at      float64
+	arrival bool
+	idx     int
+}
+
+func refEventOrder(tr *trace.AzureTrace) []refEvent {
+	evs := make([]refEvent, 0, 2*len(tr.VMs))
+	for i, vm := range tr.VMs {
+		evs = append(evs, refEvent{vm.Start, true, i}, refEvent{vm.End, false, i})
+	}
+	sort.Slice(evs, func(a, b int) bool {
+		x, y := evs[a], evs[b]
+		if x.at != y.at {
+			return x.at < y.at
+		}
+		if x.arrival != y.arrival {
+			return !x.arrival
+		}
+		return x.idx < y.idx
+	})
+	return evs
+}
+
+// walkEvents collects the geometry's merge walk over a source.
+func walkEvents(t *testing.T, src vmSource) []refEvent {
+	t.Helper()
+	g, err := newGeometry(src, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []refEvent
+	g.forEachEvent(func(idx int32, arrival bool) bool {
+		vm := src.record(int(idx))
+		at := vm.End
+		if arrival {
+			at = vm.Start
+		}
+		got = append(got, refEvent{at, arrival, int(idx)})
+		return true
+	})
+	return got
+}
+
+// TestForEachEventOrdering pins the one merge walk the bounds and the
+// pool planner replay: departures before arrivals at an instant, trace
+// index within a kind, matched against the outright sort on a
+// hand-built trace with ties and on a generated one.
+func TestForEachEventOrdering(t *testing.T) {
+	util := []float64{50}
+	hand := &trace.AzureTrace{VMs: []*trace.VMRecord{
+		{ID: "a", Cores: 1, MemoryMB: 1024, Start: 0, End: 100, CPUUtil: util},
+		{ID: "b", Cores: 1, MemoryMB: 1024, Start: 100, End: 200, CPUUtil: util},
+		{ID: "c", Cores: 1, MemoryMB: 1024, Start: 100, End: 100, CPUUtil: util},
+		{ID: "d", Cores: 1, MemoryMB: 1024, Start: 0, End: 200, CPUUtil: util},
 	}}
-	evs := buildEvents(tr)
-	if len(evs) != 4 {
-		t.Fatalf("events = %d", len(evs))
+	got := walkEvents(t, traceSource{hand.VMs})
+	// At t=100, a's departure (and zero-lifetime c's) precede b's and
+	// c's arrivals.
+	want := []refEvent{{0, true, 0}, {0, true, 3}, {100, false, 0}, {100, false, 2},
+		{100, true, 1}, {100, true, 2}, {200, false, 1}, {200, false, 3}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("hand trace walk = %v, want %v", got, want)
 	}
-	// At t=100, a's departure precedes b's arrival.
-	if evs[1].arrival || evs[1].vm.ID != "a" {
-		t.Errorf("event[1] = %+v, want a's departure", evs[1])
-	}
-	if !evs[2].arrival || evs[2].vm.ID != "b" {
-		t.Errorf("event[2] = %+v, want b's arrival", evs[2])
+	for _, tr := range []*trace.AzureTrace{hand, testTrace(250)} {
+		if got, want := walkEvents(t, traceSource{tr.VMs}), refEventOrder(tr); !reflect.DeepEqual(got, want) {
+			t.Errorf("%d-VM trace: merge walk diverges from the outright sort", len(tr.VMs))
+		}
 	}
 }

@@ -363,7 +363,7 @@ func TestIndexedSweepMatchesReferenceAtAnyWorkerCount(t *testing.T) {
 		points := make([]SweepPoint, len(strategies)*nOC)
 		errs := make([]error, len(points))
 		runJobs(len(points), Options{Workers: workers}.workers(len(points)), func(i int) {
-			cfg := strategyConfig(tr, strategies[i/nOC], baseline, ocs[i%nOC]/100)
+			cfg := strategyConfig(tr, nil, strategies[i/nOC], baseline, ocs[i%nOC]/100)
 			cfg.ReferencePlacement = reference
 			res, err := Run(cfg)
 			if err != nil {

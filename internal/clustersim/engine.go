@@ -40,17 +40,17 @@ type vmTracking struct {
 	// idx is the VM's position in the engine's running list (swap-remove
 	// bookkeeping for the sharded sample pass).
 	idx int
-	// cur reads this VM's utilisation incrementally on streamed runs
-	// (nil on eager runs, where rec.CPUUtil is materialised). Cursors
-	// are recycled through the engine's free list when the VM closes.
-	cur *trace.UtilCursor
+	// util reads this VM's utilisation while it runs; closeVM hands it
+	// back to the source.
+	util utilReader
 }
 
 // Engine executes one simulation run. It owns every piece of mutable
-// run state — the cluster manager, the pending-event queue, the running
-// set and all metric accumulators — so concurrently executing engines
-// share nothing (a shared *trace.AzureTrace is read-only) and a sweep
-// worker pool can run one engine per grid point without coordination.
+// run state — the input source, the cluster manager, the pending-event
+// queue, the running set and all metric accumulators — so concurrently
+// executing engines share nothing (a shared trace or stream is
+// read-only) and a sweep worker pool can run one engine per grid point
+// without coordination.
 //
 // An Engine is single-use: NewEngine builds it, Run consumes it.
 type Engine struct {
@@ -66,18 +66,13 @@ type Engine struct {
 	res     *Result
 	horizon float64
 
-	// Streamed-trace state (nil/zero on eager runs). geo carries the
-	// compact sizing view between NewEngine and setupDeflation and is
-	// released before the event loop; synth serves admission-time series
-	// synthesis; cursorFree recycles utilisation cursors (with their
-	// embedded RNG state) across VM lifetimes — the per-run arena that
-	// keeps steady-state churn allocation-light. utilBuf is the
-	// admission-time P95 scratch of both input paths: the percentile
-	// selection reorders it in place.
-	geo        *streamGeometry
-	synth      *trace.SeriesSynth
-	utilBuf    []float64
-	cursorFree []*trace.UtilCursor
+	// src is the run's input (see source.go). geo carries its sizing
+	// view from NewEngine to the queue build, which releases it before
+	// the event loop. utilBuf is the admission-time P95 scratch: the
+	// percentile selection reorders it in place.
+	src     vmSource
+	geo     *geometry
+	utilBuf []float64
 
 	// sampleTime accumulates the sample passes' wall time when
 	// cfg.Timings is set.
@@ -135,22 +130,19 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg}
-	if cfg.Stream != nil {
-		// One Params pass builds the compact geometry every sizing and
-		// planning step below shares; it is released before the event
-		// loop starts (setupDeflation keeps only the arrival order).
-		e.geo = newStreamGeometry(cfg.Stream)
+	// One metadata pass validates the input and builds the geometry
+	// that sizing, pool planning and the arrival queue share. Only
+	// sizing and pool planning walk departures, so only they pay for
+	// the end-order sort.
+	src := inputSource(cfg)
+	geo, err := newGeometry(src, cfg.BaselineServers <= 0 || cfg.Partitioned)
+	if err != nil {
+		return nil, err
 	}
+	e := &Engine{cfg: cfg, src: src, geo: geo}
 	base := cfg.BaselineServers
 	if base <= 0 {
-		var err error
-		if cfg.Stream != nil {
-			base, err = streamBaselineServerCount(cfg.Stream, e.geo, cfg.ServerCapacity)
-		} else {
-			base, err = BaselineServerCount(cfg.Trace, cfg.ServerCapacity)
-		}
-		if err != nil {
+		if base, err = geo.baselineServers(src, cfg.ServerCapacity); err != nil {
 			return nil, err
 		}
 	}
@@ -195,11 +187,9 @@ func (e *Engine) setupDeflation() error {
 		mgrCfg.Risk = &cluster.RiskConfig{HighPriority: cfg.Risk.HighPriority, MaxBands: cfg.Risk.Bands}
 	}
 	e.mgr = cluster.NewManager(mgrCfg)
-	var partitions []int
-	if cfg.Stream != nil {
-		partitions = partitionPlanStream(cfg, cfg.Stream, e.geo, e.nServers)
-	} else {
-		partitions = partitionPlan(cfg, e.nServers)
+	partitions := make([]int, e.nServers) // one pool unless partitioned
+	if cfg.Partitioned {
+		partitions = e.geo.partitionPlan(e.src, cfg.PriorityLevels, e.nServers)
 	}
 
 	// Portfolio typing and the analytic hazard model. Both are pure
@@ -224,7 +214,7 @@ func (e *Engine) setupDeflation() error {
 		model = risk.New(sc, e.nServers)
 		bands = cfg.Risk.Bands
 		if bands <= 0 {
-			bands = 4 // keep in sync with cluster.RiskConfig's default
+			bands = cluster.DefaultRiskBands
 		}
 		if cfg.Risk.HeadroomScale > 0 {
 			headroom = cfg.Risk.HeadroomScale
@@ -265,32 +255,31 @@ func (e *Engine) setupDeflation() error {
 		e.sloViolByLevel = make([]uint64, cfg.PriorityLevels)
 	}
 	e.running = map[string]*vmTracking{}
-	if cfg.Stream != nil {
-		// The live-set queue holds departures, samples and shocks for
-		// the currently running VMs only; arrivals stay latent in the
-		// stream. Size the calendar for a modest live set — it resizes
-		// itself as the population moves.
-		var inner eventQueue
-		if cfg.useHeapQueue {
-			inner = &heapQueue{}
-		} else {
-			inner = newCalendarQueue(1024, e.geo.maxEnd)
-		}
-		e.queue = newStreamQueue(cfg.Stream, e.geo.byStart, inner)
-		e.horizon = e.geo.maxEnd
-		e.synth = trace.NewSeriesSynth()
-		// Release the geometry: the queue owns byStart, and the other
-		// four columns (~32 bytes/VM) are dead weight through the run.
-		e.geo = nil
-	} else {
-		e.queue = newArrivalQueue(cfg.Trace, cfg.useHeapQueue)
-		e.horizon = cfg.Trace.Duration()
-	}
+	e.queue = e.newQueue()
 	if trace.SampleInterval <= e.horizon {
 		e.queue.push(simEvent{at: trace.SampleInterval, kind: evSample})
 	}
 	e.pushShocks(e.queue)
 	return nil
+}
+
+// newQueue builds the run's event queue — the source's arrivals
+// overlaid on a live-set queue for everything the run schedules — and
+// sets the horizon. It releases the geometry: the queue owns the
+// arrival order, and the other columns are dead weight through the
+// run. The live-set calendar starts sized for a modest population and
+// resizes itself as the population moves.
+func (e *Engine) newQueue() eventQueue {
+	var inner eventQueue
+	if e.cfg.useHeapQueue {
+		inner = &heapQueue{}
+	} else {
+		inner = newCalendarQueue(1024, e.geo.maxEnd)
+	}
+	q := newSourceQueue(e.src, e.geo.byStart, inner)
+	e.horizon = e.geo.maxEnd
+	e.geo = nil
+	return q
 }
 
 // runDeflation drives the deflation-mode event loop: arrivals are
@@ -578,28 +567,14 @@ func (e *Engine) pushShocks(q eventQueue) {
 }
 
 // remainingDemand integrates a VM's CPU demand (core-seconds) from
-// time t to its natural end: the demand a kill destroys. Shared by the
-// preemption baseline and the deflation engine's shock kills so both
-// charge a destroyed VM identically.
-func remainingDemand(rec *trace.VMRecord, t float64) float64 {
+// time t to its natural end, reading its utilisation through u: the
+// demand a kill destroys. Shared by the preemption baseline and the
+// deflation engine's shock kills so both charge a destroyed VM
+// identically.
+func remainingDemand(u utilReader, rec *trace.VMRecord, t float64) float64 {
 	var d float64
 	for ts := t; ts < rec.End; ts += trace.SampleInterval {
-		d += rec.UtilAt(ts) / 100 * float64(rec.Cores) * trace.SampleInterval
-	}
-	return d
-}
-
-// remainingDemandOf is remainingDemand for a tracked VM, reading
-// utilisation through the streamed cursor when one is bound. The cursor
-// produces the same sample bits as the materialised series, so both
-// forms charge a killed VM identically.
-func (e *Engine) remainingDemandOf(vt *vmTracking, t float64) float64 {
-	if vt.cur == nil {
-		return remainingDemand(vt.rec, t)
-	}
-	var d float64
-	for ts := t; ts < vt.rec.End; ts += trace.SampleInterval {
-		d += vt.cur.At(ts) / 100 * float64(vt.rec.Cores) * trace.SampleInterval
+		d += u.At(ts) / 100 * float64(rec.Cores) * trace.SampleInterval
 	}
 	return d
 }
@@ -624,7 +599,7 @@ func (e *Engine) applyEvacuation(out cluster.Evacuation, at float64) {
 		if pl.Err != nil {
 			e.res.ShockKills++
 			if out.VMs[i].Deflatable {
-				rem := e.remainingDemandOf(vt, at)
+				rem := remainingDemand(vt.util, vt.rec, at)
 				vt.demand += rem
 				vt.lost += rem
 			}
@@ -708,9 +683,9 @@ func (e *Engine) closeVM(vt *vmTracking, at float64) {
 		e.sloViolByLevel[priorityLevel(vt.prio, e.cfg.PriorityLevels)] += uint64(vt.sloViol)
 		e.sloSampleCount += uint64(vt.sloSamples)
 	}
-	if vt.cur != nil {
-		e.cursorFree = append(e.cursorFree, vt.cur)
-		vt.cur = nil
+	if vt.util != nil {
+		e.src.releaseUtil(vt.util)
+		vt.util = nil
 	}
 }
 
@@ -720,7 +695,6 @@ func (e *Engine) closeVM(vt *vmTracking, at float64) {
 // Placement.Initial, the allocation the VM launched with.
 func (e *Engine) handleArrival(ev simEvent) {
 	cfg := e.cfg
-	streamed := cfg.Stream != nil
 	vm := ev.vm
 	deflatable := vm.Class == trace.Interactive
 	var prio float64
@@ -729,35 +703,22 @@ func (e *Engine) handleArrival(ev simEvent) {
 		Size:       vmSize(vm),
 		Deflatable: deflatable,
 	}
-	switch {
-	case !deflatable:
-		// On-demand VM: its priority is 0, and nothing downstream reads
-		// an on-demand VM's p95-derived prio (no meters, no SLO samples),
-		// so skip the series read.
-	case streamed:
-		// The record carries no materialised series; synthesize it once
-		// into the reusable buffer for the P95 the priority quantises,
-		// reading the admission-instant load off sample 0 (ev.at is
-		// exactly vm.Start) before the selection reorders the buffer.
-		// Same bits as the eager reads.
-		p := cfg.Stream.Params(ev.seq)
-		e.utilBuf = e.synth.Append(p, e.utilBuf[:0])
-		if cfg.SLO != nil {
+	// On-demand VMs skip the series read: their priority is 0, and
+	// nothing downstream reads an on-demand VM's p95-derived prio (no
+	// meters, no SLO samples).
+	if deflatable {
+		// Copy the series into the reusable buffer for the P95 the
+		// priority quantises. With SLO metering, first seed the
+		// admission-instant offered load so the VM's own admission pass
+		// (and any deflation it triggers) sees it: ev.at is exactly
+		// vm.Start, where UtilAt reads sample 0 — or 0 for a
+		// zero-lifetime VM.
+		e.utilBuf = e.src.appendUtil(ev.seq, e.utilBuf[:0])
+		if cfg.SLO != nil && vm.Start < vm.End {
 			dc.Load = e.utilBuf[0] / 100 * float64(vm.Cores)
 		}
 		prio = policy.PriorityFromP95(stats.PercentileInPlace(e.utilBuf, 95), cfg.PriorityLevels)
 		dc.Priority = prio
-	default:
-		// vm.P95() without its per-call copy: select in the reusable
-		// buffer, leaving the record's series untouched.
-		e.utilBuf = append(e.utilBuf[:0], vm.CPUUtil...)
-		prio = policy.PriorityFromP95(stats.PercentileInPlace(e.utilBuf, 95), cfg.PriorityLevels)
-		dc.Priority = prio
-		if cfg.SLO != nil {
-			// Seed the admission-time offered load so the VM's own
-			// admission pass (and any deflation it triggers) sees it.
-			dc.Load = vm.UtilAt(ev.at) / 100 * float64(vm.Cores)
-		}
 	}
 
 	e.dcBuf[0] = dc
@@ -781,18 +742,7 @@ func (e *Engine) handleArrival(ev simEvent) {
 			vt.meters[j].Observe(ev.at/3600, s.Rate(dc.Size, prio, pl.Initial))
 		}
 	}
-	if streamed {
-		// Bind a utilisation cursor for the VM's lifetime, recycled
-		// through the free list so steady-state churn allocates nothing.
-		var cur *trace.UtilCursor
-		if n := len(e.cursorFree); n > 0 {
-			cur, e.cursorFree = e.cursorFree[n-1], e.cursorFree[:n-1]
-		} else {
-			cur = trace.NewUtilCursor()
-		}
-		cur.Reset(cfg.Stream.Params(ev.seq))
-		vt.cur = cur
-	}
+	vt.util = e.src.bindUtil(ev.seq, vm)
 	e.addRunning(vm.ID, vt)
 	e.queue.push(simEvent{at: vm.End, kind: evDeparture, vm: vm, seq: ev.seq})
 }
@@ -810,7 +760,7 @@ func sampleVM(vt *vmTracking, at float64, cfg Config, hist []uint64) {
 	if !vt.domain.Deflatable() {
 		return
 	}
-	util := vmUtil(vt, at)
+	util := vt.util.At(at)
 	maxCores := vt.domain.MaxSize().Get(resources.CPU)
 	allocCores := vt.domain.Allocation().Get(resources.CPU)
 	demand := util / 100 * maxCores * trace.SampleInterval
@@ -847,18 +797,6 @@ func sampleVM(vt *vmTracking, at float64, cfg Config, hist []uint64) {
 		}
 		vt.meters[i].Observe(at/3600, rate)
 	}
-}
-
-// vmUtil reads a tracked VM's utilisation at time t: through the
-// streamed cursor when one is bound (samples advance monotonically, so
-// the cursor's forward reads are O(1) amortised), else from the
-// materialised series. The two produce identical bits — the cursor
-// replays the same generator from the same per-VM seed.
-func vmUtil(vt *vmTracking, at float64) float64 {
-	if vt.cur != nil {
-		return vt.cur.At(at)
-	}
-	return vt.rec.UtilAt(at)
 }
 
 // finishVM settles a departing (or shock-killed) VM's billing: each

@@ -86,15 +86,13 @@ func eventLess(a, b simEvent) bool {
 }
 
 // eventQueue is the pending-event set: push schedules, pop/peek deliver
-// in (time, kind, seq) order. Two interchangeable implementations
-// exist — heapQueue (container/heap, the original and the property-test
-// reference) and calendarQueue (O(1) amortized, the default) — plus
-// streamQueue, which overlays lazily generated arrivals on a live-set
-// queue for streamed traces. Unlike the pre-queue approach —
-// materialise 2N events in one slice and sort it per run — all of them
-// admit lazily scheduled events (departures are only scheduled for VMs
-// that were actually admitted, samples reschedule themselves), so a
-// run's live set stays proportional to the pending horizon rather than
+// in (time, kind, seq) order. Two interchangeable live-set
+// implementations exist — heapQueue (container/heap, the original and
+// the property-test reference) and calendarQueue (O(1) amortized, the
+// default) — and a run drives a sourceQueue, which overlays the input's
+// pre-sorted arrivals on one of them. Departures are only scheduled for
+// VMs that were actually admitted and samples reschedule themselves, so
+// the live set stays proportional to the pending horizon rather than
 // the whole trace.
 type eventQueue interface {
 	// push schedules an event.
@@ -143,65 +141,87 @@ func (q *heapQueue) peek() simEvent { return q.evs[0] }
 
 func (q *heapQueue) empty() bool { return len(q.evs) == 0 }
 
-// newArrivalQueue seeds a queue with one arrival per trace VM.
-// Departure events are scheduled by the engine when (and only when) a
-// VM is admitted, and the first sample event is scheduled by the run
-// loop. useHeap selects the reference heap implementation instead of
-// the calendar queue.
-func newArrivalQueue(tr *trace.AzureTrace, useHeap bool) eventQueue {
-	if useHeap {
-		q := &heapQueue{evs: make([]simEvent, 0, len(tr.VMs))}
-		for i, vm := range tr.VMs {
-			q.evs = append(q.evs, simEvent{at: vm.Start, kind: evArrival, vm: vm, seq: i})
-		}
-		heap.Init(q)
-		return q
-	}
-	q := newCalendarQueue(len(tr.VMs), tr.Duration())
-	for i, vm := range tr.VMs {
-		q.push(simEvent{at: vm.Start, kind: evArrival, vm: vm, seq: i})
+// sourceChunkShift sizes the arrival-order chunks: 1<<20 arrivals
+// (4 MB of int32) per chunk, released as soon as the scan moves past
+// them, so the retained arrival column shrinks toward zero as the run
+// progresses instead of pinning 4 bytes per trace VM to the end.
+const sourceChunkShift = 20
+
+// sourceQueue is every run's eventQueue: arrivals come from the
+// geometry's sorted arrival order, their records fetched from the
+// vmSource one VM at a time as the simulation reaches them, while
+// departures, samples and shocks live in an inner queue sized to the
+// live set. The arrival order is held in chunks whose consumed prefix
+// is freed incrementally, so peak queue memory is the unconsumed
+// arrival suffix plus O(live events) — never an N-deep event set.
+type sourceQueue struct {
+	src    vmSource
+	chunks [][]int32 // arrival order; consumed chunks are nilled
+	next   int       // next unfetched absolute position
+	total  int
+	headOK bool
+	head   simEvent // the fetched next arrival
+	inner  eventQueue
+}
+
+// newSourceQueue copies byStart (the geometry's arrival order) into
+// releasable chunks; the caller's slice can then be dropped with the
+// rest of the geometry.
+func newSourceQueue(src vmSource, byStart []int32, inner eventQueue) *sourceQueue {
+	q := &sourceQueue{src: src, total: len(byStart), inner: inner}
+	for chunk := range slices.Chunk(byStart, 1<<sourceChunkShift) {
+		q.chunks = append(q.chunks, slices.Clone(chunk))
 	}
 	return q
 }
 
-// event is a flattened arrival/departure pair, used by the feasibility
-// replays (BaselineServerCount) that scan the same trace many times and
-// therefore want one sorted slice rather than a consumable queue.
-type event struct {
-	at      float64
-	arrival bool
-	vm      *trace.VMRecord
+// ensureHead fetches the next pending arrival, if any, releasing each
+// arrival-order chunk as the scan leaves it.
+func (q *sourceQueue) ensureHead() {
+	if q.headOK || q.next >= q.total {
+		return
+	}
+	const mask = 1<<sourceChunkShift - 1
+	c := q.next >> sourceChunkShift
+	idx := int(q.chunks[c][q.next&mask])
+	q.next++
+	if q.next&mask == 0 || q.next >= q.total {
+		q.chunks[c] = nil
+	}
+	vm := q.src.record(idx)
+	q.head = simEvent{at: vm.Start, kind: evArrival, vm: vm, seq: idx}
+	q.headOK = true
 }
 
-// buildEvents materialises and sorts the full arrival/departure
-// sequence. Simulation runs use an eventQueue instead; this remains for
-// the multi-pass feasibility bound and the partition planner on eager
-// traces (streamed runs use streamGeometry's merge walk, which replays
-// this exact order without materialising the event slice).
-func buildEvents(tr *trace.AzureTrace) []event {
-	evs := make([]event, 0, 2*len(tr.VMs))
-	for _, vm := range tr.VMs {
-		evs = append(evs, event{at: vm.Start, arrival: true, vm: vm})
-		evs = append(evs, event{at: vm.End, arrival: false, vm: vm})
+func (q *sourceQueue) empty() bool {
+	return !q.headOK && q.next >= q.total && q.inner.empty()
+}
+
+func (q *sourceQueue) push(e simEvent) {
+	// The engine never schedules arrivals — they exist only in the
+	// source — so everything pushed belongs to the live-set queue.
+	q.inner.push(e)
+}
+
+func (q *sourceQueue) peek() simEvent {
+	q.ensureHead()
+	if !q.headOK {
+		return q.inner.peek()
 	}
-	// slices.SortStableFunc instantiates for the concrete element type —
-	// no reflect-based swapper — which matters at 1M VMs where this sort
-	// covers 2M events. Same comparator, same stable order as before.
-	slices.SortStableFunc(evs, func(a, b event) int {
-		switch {
-		case a.at < b.at:
-			return -1
-		case a.at > b.at:
-			return 1
-		// Departures before arrivals at the same instant free capacity
-		// for the newcomers.
-		case !a.arrival && b.arrival:
-			return -1
-		case a.arrival && !b.arrival:
-			return 1
-		default:
-			return 0
-		}
-	})
-	return evs
+	if q.inner.empty() || eventLess(q.head, q.inner.peek()) {
+		return q.head
+	}
+	return q.inner.peek()
+}
+
+func (q *sourceQueue) pop() simEvent {
+	q.ensureHead()
+	if !q.headOK {
+		return q.inner.pop()
+	}
+	if q.inner.empty() || eventLess(q.head, q.inner.peek()) {
+		q.headOK = false
+		return q.head
+	}
+	return q.inner.pop()
 }

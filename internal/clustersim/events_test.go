@@ -1,6 +1,7 @@
 package clustersim
 
 import (
+	"reflect"
 	"testing"
 
 	"vmdeflate/internal/trace"
@@ -127,52 +128,86 @@ func TestEventQueueOrdering(t *testing.T) {
 	}
 }
 
-func TestNewArrivalQueue(t *testing.T) {
+// TestSourceQueueArrivalOrder pins the one arrival queue, over both
+// inner queues: arrivals pop in (time, trace index) order with seq the
+// trace index, matching the outright sort, and a streamed source pops
+// the same arrival sequence as its materialised form.
+func TestSourceQueueArrivalOrder(t *testing.T) {
+	util := []float64{50}
 	tr := &trace.AzureTrace{VMs: []*trace.VMRecord{
-		{ID: "late", Start: 500, End: 600},
-		{ID: "tied-b", Start: 100, End: 300},
-		{ID: "tied-c", Start: 100, End: 300},
-		{ID: "early", Start: 0, End: 200},
+		{ID: "late", Cores: 1, Start: 500, End: 600, CPUUtil: util},
+		{ID: "tied-b", Cores: 1, Start: 100, End: 300, CPUUtil: util},
+		{ID: "tied-c", Cores: 1, Start: 100, End: 300, CPUUtil: util},
+		{ID: "early", Cores: 1, Start: 0, End: 200, CPUUtil: util},
 	}}
-	for _, useHeap := range []bool{false, true} {
-		got := popAll(newArrivalQueue(tr, useHeap))
+	s, err := trace.NewStream(trace.ScenarioConfig{Kind: trace.ScenarioBursty, NumVMs: 300, Duration: 86400, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mk := range queueImpls() {
+		arrivals := func(src vmSource) []simEvent {
+			g, err := newGeometry(src, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return popAll(newSourceQueue(src, g.byStart, mk()))
+		}
+		got := arrivals(traceSource{tr.VMs})
 		wantIDs := []string{"early", "tied-b", "tied-c", "late"}
 		if len(got) != len(wantIDs) {
-			t.Fatalf("useHeap=%v: events = %d, want %d", useHeap, len(got), len(wantIDs))
+			t.Fatalf("%s: events = %d, want %d", name, len(got), len(wantIDs))
 		}
 		for i, e := range got {
-			if e.kind != evArrival {
-				t.Errorf("useHeap=%v: event[%d] kind = %v, want arrival", useHeap, i, e.kind)
-			}
-			if e.vm.ID != wantIDs[i] {
-				t.Errorf("useHeap=%v: event[%d] = %s, want %s", useHeap, i, e.vm.ID, wantIDs[i])
+			if e.kind != evArrival || e.vm.ID != wantIDs[i] || e.vm != tr.VMs[e.seq] {
+				t.Errorf("%s: event[%d] = %v %s seq=%d, want the trace's own arrival record of %s",
+					name, i, e.kind, e.vm.ID, e.seq, wantIDs[i])
 			}
 		}
-		// seq must be the trace index so equal-time events replay in trace
-		// order: tied-b (index 1) before tied-c (index 2).
+		// seq must be the trace index so equal-time events replay in
+		// trace order: tied-b (index 1) before tied-c (index 2).
 		if got[1].seq != 1 || got[2].seq != 2 {
-			t.Errorf("useHeap=%v: tie seqs = %d,%d, want 1,2", useHeap, got[1].seq, got[2].seq)
+			t.Errorf("%s: tie seqs = %d,%d, want 1,2", name, got[1].seq, got[2].seq)
+		}
+
+		eager := s.Materialize()
+		var want []refEvent
+		for _, e := range refEventOrder(eager) {
+			if e.arrival {
+				want = append(want, e)
+			}
+		}
+		for srcName, src := range map[string]vmSource{"eager": traceSource{eager.VMs}, "streamed": &streamSource{s: s}} {
+			evs := arrivals(src)
+			if len(evs) != len(want) {
+				t.Fatalf("%s/%s: %d arrivals, want %d", name, srcName, len(evs), len(want))
+			}
+			for i, e := range evs {
+				if e.at != want[i].at || e.seq != want[i].idx || e.vm.ID != eager.VMs[e.seq].ID {
+					t.Fatalf("%s/%s: arrival[%d] = (t=%g seq=%d), want (t=%g seq=%d)",
+						name, srcName, i, e.at, e.seq, want[i].at, want[i].idx)
+				}
+			}
 		}
 	}
 }
 
-// TestEngineMatchesLegacySliceReplay replays a trace through the heap
-// engine and through a reference slice-based loop (the pre-refactor
-// algorithm, reconstructed from buildEvents) and requires identical
-// admission bookkeeping — the engine refactor must not change what the
-// simulator computes.
-func TestEngineMatchesLegacySliceReplay(t *testing.T) {
+// TestEngineMatchesMergeWalkReplay replays a trace through the engine
+// and recounts its arrivals along the merge walk, which must itself
+// match the outright (time, departures-first, index) sort: the engine
+// must process every arrival the walk replays, and admission
+// bookkeeping must close.
+func TestEngineMatchesMergeWalkReplay(t *testing.T) {
 	tr := testTrace(250)
 	got, err := Run(Config{Trace: tr, Overcommit: 0.4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The legacy loop's observable ordering: all events sorted by
-	// (time, departures-first), samples drained before each event.
-	// The heap delivers exactly that order, so bookkeeping totals
-	// must line up with a straight recount from buildEvents.
+	walk := walkEvents(t, traceSource{tr.VMs})
+	if !reflect.DeepEqual(walk, refEventOrder(tr)) {
+		t.Fatal("merge walk diverges from the outright sort")
+	}
 	arrivals := 0
-	for _, e := range buildEvents(tr) {
+	for _, e := range walk {
 		if e.arrival {
 			arrivals++
 		}

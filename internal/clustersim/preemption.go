@@ -5,12 +5,14 @@ import (
 
 	"vmdeflate/internal/policy"
 	"vmdeflate/internal/resources"
+	"vmdeflate/internal/stats"
 	"vmdeflate/internal/trace"
 )
 
 // pVM is one VM in the preemption baseline.
 type pVM struct {
 	rec    *trace.VMRecord
+	util   utilReader
 	size   resources.Vector
 	lowPri bool
 	prio   float64
@@ -31,10 +33,11 @@ type pVM struct {
 // schedule drives both modes, which is what makes the
 // deflation-saves-the-shock-victims comparison an apples-to-apples one.
 //
-// The baseline drives the same lazily scheduled event queue as the
-// deflation engine: departures enter the queue only for admitted VMs,
-// and a preempted or shock-killed VM's stale departure event is ignored
-// because the VM is no longer in the running set.
+// The baseline drives the same source queue as the deflation engine:
+// arrivals come from the input source in trace order, departures enter
+// the queue only for admitted VMs, and a preempted or shock-killed VM's
+// stale departure event is ignored because the VM is no longer in the
+// running set.
 func (e *Engine) runPreemption() (*Result, error) {
 	cfg := e.cfg
 	free := make([]resources.Vector, e.nServers)
@@ -47,6 +50,13 @@ func (e *Engine) runPreemption() (*Result, error) {
 	running := map[string]*pVM{}
 	res := &Result{Servers: e.nServers, Revenue: map[string]float64{}}
 	var demandTotal, lostTotal float64
+
+	// leave frees a VM's capacity and drops it from the running set.
+	leave := func(vm *pVM) {
+		free[vm.server] = free[vm.server].Add(vm.size)
+		delete(running, vm.rec.ID)
+		e.src.releaseUtil(vm.util)
+	}
 
 	place := func(vm *pVM) bool {
 		// Conventional bin-packing: tightest fit, as used by
@@ -77,10 +87,9 @@ func (e *Engine) runPreemption() (*Result, error) {
 			if need.FitsIn(free[server]) {
 				break
 			}
-			free[server] = free[server].Add(v.size)
-			delete(running, v.rec.ID)
+			leave(v)
 			res.Preemptions++
-			lostTotal += remainingDemand(v.rec, now)
+			lostTotal += remainingDemand(v.util, v.rec, now)
 		}
 		return need.FitsIn(free[server])
 	}
@@ -91,11 +100,10 @@ func (e *Engine) runPreemption() (*Result, error) {
 	// (the deflation engine charges its shock kills the same remaining
 	// demand, so the cross-engine loss comparison is apples to apples).
 	shockKill := func(vm *pVM, now float64) {
-		free[vm.server] = free[vm.server].Add(vm.size)
-		delete(running, vm.rec.ID)
+		leave(vm)
 		res.ShockKills++
 		if vm.lowPri {
-			lostTotal += remainingDemand(vm.rec, now)
+			lostTotal += remainingDemand(vm.util, vm.rec, now)
 		}
 	}
 
@@ -142,19 +150,15 @@ func (e *Engine) runPreemption() (*Result, error) {
 		return best
 	}
 
-	queue := newArrivalQueue(cfg.Trace, cfg.useHeapQueue)
-	e.horizon = cfg.Trace.Duration() // pushShocks defaults a generated schedule to it
+	queue := e.newQueue() // sets the horizon pushShocks defaults a generated schedule to
 	e.pushShocks(queue)
 	for !queue.empty() {
 		ev := queue.pop()
 		switch ev.kind {
 		case evDeparture:
-			vm, ok := running[ev.vm.ID]
-			if !ok {
-				continue // already preempted or shock-killed
+			if vm, ok := running[ev.vm.ID]; ok { // else preempted or shock-killed
+				leave(vm)
 			}
-			free[vm.server] = free[vm.server].Add(vm.size)
-			delete(running, ev.vm.ID)
 			continue
 		case evRevoke:
 			// Today's transient server disappearing: every resident
@@ -200,15 +204,17 @@ func (e *Engine) runPreemption() (*Result, error) {
 			continue
 		}
 		res.Arrivals++
+		e.utilBuf = e.src.appendUtil(ev.seq, e.utilBuf[:0])
 		vm := &pVM{
 			rec:    ev.vm,
+			util:   e.src.bindUtil(ev.seq, ev.vm),
 			size:   vmSize(ev.vm),
 			lowPri: ev.vm.Class == trace.Interactive,
-			prio:   policy.PriorityFromP95(ev.vm.P95(), cfg.PriorityLevels),
+			prio:   policy.PriorityFromP95(stats.PercentileInPlace(e.utilBuf, 95), cfg.PriorityLevels),
 		}
 		if vm.lowPri {
 			// Total low-priority demand, for the throughput-loss ratio.
-			demandTotal += remainingDemand(ev.vm, ev.vm.Start)
+			demandTotal += remainingDemand(vm.util, ev.vm, ev.vm.Start)
 		}
 		admit := func() {
 			running[ev.vm.ID] = vm
@@ -233,6 +239,7 @@ func (e *Engine) runPreemption() (*Result, error) {
 			res.ReclamationFailures++
 		}
 		res.Rejected++
+		e.src.releaseUtil(vm.util)
 	}
 
 	// Figure 20 baseline metric: preemption probability for admitted

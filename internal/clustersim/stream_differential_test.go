@@ -14,8 +14,8 @@ import (
 // arrival, utilisation synthesized through cursors, arrivals never
 // materialised into the queue — produces a Result bit-for-bit identical
 // to running the materialised form of the same stream, across all four
-// scenarios, seeds, shard counts and both event queues (streamed
-// arrivals feed the queue lazily, eager ones are seeded up front).
+// scenarios, seeds, shard counts and both live-set event queues (both
+// forms feed the same source queue, through different adapters).
 func TestStreamedEngineMatchesEager(t *testing.T) {
 	for _, kind := range trace.Scenarios() {
 		for _, seed := range []int64{1, 2} {
@@ -105,7 +105,7 @@ func TestStreamedEngineMatchesEagerFullFeatures(t *testing.T) {
 
 // TestStreamedBaselineSizingMatchesEager: with BaselineServers unset,
 // the streamed engine derives the cluster size through the geometry
-// merge walk (streamBaselineServerCount) and must land on the same
+// merge walk (geometry.baselineServers) and must land on the same
 // count — and the same Result — as the eager bound.
 func TestStreamedBaselineSizingMatchesEager(t *testing.T) {
 	s, err := trace.NewStream(trace.ScenarioConfig{

@@ -90,10 +90,12 @@ func validateStrategies(strategies []string) error {
 	return nil
 }
 
-// strategyConfig builds the Config for one named strategy.
-func strategyConfig(tr *trace.AzureTrace, strategy string, baseline int, oc float64) Config {
+// strategyConfig builds the Config for one named strategy over
+// whichever of tr and s is set.
+func strategyConfig(tr *trace.AzureTrace, s *trace.Stream, strategy string, baseline int, oc float64) Config {
 	cfg := Config{
 		Trace:           tr,
+		Stream:          s,
 		Mechanism:       mechanism.Transparent{},
 		Overcommit:      oc,
 		BaselineServers: baseline,
@@ -279,12 +281,7 @@ func sweepGrid(tr *trace.AzureTrace, s *trace.Stream, strategies []string, overc
 	baseline := opts.BaselineServers
 	if baseline <= 0 {
 		var err error
-		if s != nil {
-			baseline, err = BaselineServerCountStream(s, DefaultServerCapacity())
-		} else {
-			baseline, err = BaselineServerCount(tr, DefaultServerCapacity())
-		}
-		if err != nil {
+		if baseline, err = baselineServerCount(sourceOf(tr, s), DefaultServerCapacity()); err != nil {
 			return nil, err
 		}
 	}
@@ -295,8 +292,7 @@ func sweepGrid(tr *trace.AzureTrace, s *trace.Stream, strategies []string, overc
 	errs := make([]error, jobs)
 	runJobs(jobs, opts.workers(jobs), func(i int) {
 		strategy, pct := strategies[i/nOC], overcommitPcts[i%nOC]
-		cfg := strategyConfig(tr, strategy, baseline, pct/100)
-		cfg.Stream = s
+		cfg := strategyConfig(tr, s, strategy, baseline, pct/100)
 		cfg.Notify = opts.Notify
 		cfg.Shards = opts.Shards
 		cfg.ShockConfig = opts.ShockConfig
@@ -380,7 +376,7 @@ func ReplicatedSweep(gen func(seed int64) *trace.AzureTrace, seeds []int64, stra
 	runJobs(jobs, opts.workers(jobs), func(i int) {
 		r, rest := i/perRep, i%perRep
 		strategy, pct := strategies[rest/nOC], overcommitPcts[rest%nOC]
-		cfg := strategyConfig(traces[r], strategy, baselines[r], pct/100)
+		cfg := strategyConfig(traces[r], nil, strategy, baselines[r], pct/100)
 		cfg.Notify = opts.Notify
 		cfg.Shards = opts.Shards
 		cfg.ShockConfig = opts.ShockConfig

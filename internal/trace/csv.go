@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -41,7 +42,11 @@ func WriteAzureCSV(w io.Writer, t *AzureTrace) error {
 	return cw.Error()
 }
 
-// ReadAzureCSV parses a trace written by WriteAzureCSV.
+// ReadAzureCSV parses a trace written by WriteAzureCSV. Malformed rows
+// are errors naming their line: a shape CheckVM rejects, a non-finite
+// utilisation sample, or a VM ID already used by an earlier row. An
+// empty utilisation series is accepted and round-trips (the
+// feasibility analyses tolerate it); the cluster simulator rejects it.
 func ReadAzureCSV(r io.Reader) (*AzureTrace, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = len(azureHeader)
@@ -53,6 +58,7 @@ func ReadAzureCSV(r io.Reader) (*AzureTrace, error) {
 		return nil, fmt.Errorf("trace: unexpected azure header %v", header)
 	}
 	t := &AzureTrace{}
+	seen := map[string]int{} // VM ID -> line it first appeared on
 	for line := 2; ; line++ {
 		row, err := cr.Read()
 		if err == io.EOF {
@@ -61,6 +67,10 @@ func ReadAzureCSV(r io.Reader) (*AzureTrace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: azure line %d: %w", line, err)
 		}
+		if first, dup := seen[row[0]]; dup {
+			return nil, fmt.Errorf("trace: azure line %d: duplicate VM id %q (first on line %d)", line, row[0], first)
+		}
+		seen[row[0]] = line
 		class, err := ParseVMClass(row[1])
 		if err != nil {
 			return nil, fmt.Errorf("trace: azure line %d: %w", line, err)
@@ -84,6 +94,14 @@ func ReadAzureCSV(r io.Reader) (*AzureTrace, error) {
 		util, err := splitSeries(row[6])
 		if err != nil {
 			return nil, fmt.Errorf("trace: azure line %d util: %w", line, err)
+		}
+		for i, u := range util {
+			if math.IsNaN(u) || math.IsInf(u, 0) {
+				return nil, fmt.Errorf("trace: azure line %d util: sample %d is %v", line, i, u)
+			}
+		}
+		if err := CheckVM(cores, mem, start, end); err != nil {
+			return nil, fmt.Errorf("trace: azure line %d: %w", line, err)
 		}
 		t.VMs = append(t.VMs, &VMRecord{
 			ID: row[0], Class: class, Cores: cores, MemoryMB: mem,

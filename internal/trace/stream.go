@@ -106,6 +106,21 @@ type VMParams struct {
 // generators' naming.
 func (p VMParams) ID() string { return fmt.Sprintf("vm-%06d", p.Index) }
 
+// MetaRecord returns the VM's record without its utilisation series
+// (CPUUtil nil): the one VMParams → VMRecord constructor, which the
+// eager forms complete with a synthesized series and streamed
+// simulations use as is, reading utilisation through a UtilCursor.
+func (p VMParams) MetaRecord() *VMRecord {
+	return &VMRecord{
+		ID:       p.ID(),
+		Class:    p.Class,
+		Cores:    p.Cores,
+		MemoryMB: p.MemoryMB,
+		Start:    p.Start,
+		End:      p.End,
+	}
+}
+
 // Samples returns the utilisation series length.
 func (p VMParams) Samples() int {
 	n := int(math.Ceil((p.End - p.Start) / SampleInterval))
@@ -501,25 +516,11 @@ func (s *Stream) heavyTailVM(src *vmSource, p *VMParams) {
 	}
 }
 
-// AppendUtil appends VM p's full utilisation series to buf. For bulk
-// use, prefer a reusable SeriesSynth (this allocates a synthesizer per
-// call).
-func (s *Stream) AppendUtil(p VMParams, buf []float64) []float64 {
-	return NewSeriesSynth().Append(p, buf)
-}
-
 // Record materialises VM i as an eager VMRecord, utilisation included.
 func (s *Stream) Record(i int) *VMRecord {
 	p := s.Params(i)
-	vm := &VMRecord{
-		ID:       p.ID(),
-		Class:    p.Class,
-		Cores:    p.Cores,
-		MemoryMB: p.MemoryMB,
-		Start:    p.Start,
-		End:      p.End,
-	}
-	vm.CPUUtil = s.AppendUtil(p, make([]float64, 0, p.Samples()))
+	vm := p.MetaRecord()
+	vm.CPUUtil = NewSeriesSynth().Append(p, make([]float64, 0, p.Samples()))
 	return vm
 }
 
@@ -530,14 +531,7 @@ func (s *Stream) Materialize() *AzureTrace {
 	sy := NewSeriesSynth()
 	for i := 0; i < s.n; i++ {
 		p := s.Params(i)
-		vm := &VMRecord{
-			ID:       p.ID(),
-			Class:    p.Class,
-			Cores:    p.Cores,
-			MemoryMB: p.MemoryMB,
-			Start:    p.Start,
-			End:      p.End,
-		}
+		vm := p.MetaRecord()
 		vm.CPUUtil = sy.Append(p, make([]float64, 0, p.Samples()))
 		t.VMs = append(t.VMs, vm)
 	}

@@ -15,6 +15,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"vmdeflate/internal/stats"
@@ -97,11 +98,35 @@ func (r *VMRecord) UtilAt(t float64) float64 {
 	if t < r.Start || t >= r.End || len(r.CPUUtil) == 0 {
 		return 0
 	}
-	i := int((t - r.Start) / SampleInterval)
-	if i >= len(r.CPUUtil) {
-		i = len(r.CPUUtil) - 1
+	// Clamp in float before converting: a lifetime of more samples than
+	// an int holds would otherwise overflow into a negative index.
+	f := (t - r.Start) / SampleInterval
+	if f >= float64(len(r.CPUUtil)) {
+		return r.CPUUtil[len(r.CPUUtil)-1]
 	}
-	return r.CPUUtil[i]
+	return r.CPUUtil[int(f)]
+}
+
+// CheckVM reports why a VM of this shape cannot be simulated, or nil.
+// It rejects a non-finite or reversed lifetime, a core count outside
+// [1, MaxInt32] and a non-finite or negative memory size. ReadAzureCSV
+// applies it to every row and the cluster simulator to every VM of its
+// input, so a malformed trace is an error at the boundary instead of a
+// panic, a hang or a silently wrong result inside a run.
+func CheckVM(cores int, memoryMB, start, end float64) error {
+	switch {
+	case math.IsNaN(start) || math.IsInf(start, 0):
+		return fmt.Errorf("non-finite start %v", start)
+	case math.IsNaN(end) || math.IsInf(end, 0):
+		return fmt.Errorf("non-finite end %v", end)
+	case end < start:
+		return fmt.Errorf("end %v before start %v", end, start)
+	case cores < 1 || cores > math.MaxInt32:
+		return fmt.Errorf("cores %d outside [1, %d]", cores, math.MaxInt32)
+	case math.IsNaN(memoryMB) || math.IsInf(memoryMB, 0) || memoryMB < 0:
+		return fmt.Errorf("memory %v MB is not finite and non-negative", memoryMB)
+	}
+	return nil
 }
 
 // FractionAboveDeflation returns the fraction of the VM's lifetime during

@@ -48,6 +48,12 @@ func TestVMRecordBasics(t *testing.T) {
 	if got := vm.UtilAt(vm.End); got != 0 {
 		t.Errorf("UtilAt(end) = %v", got)
 	}
+	// A lifetime of more samples than an int holds reads the last sample
+	// (it used to overflow into a negative index and panic).
+	long := &VMRecord{Start: -1e300, End: 1, CPUUtil: []float64{10, 20}}
+	if got := long.UtilAt(0); got != 20 {
+		t.Errorf("UtilAt(far past start) = %v", got)
+	}
 }
 
 func TestFractionAboveDeflation(t *testing.T) {
@@ -351,10 +357,22 @@ func TestReadAzureCSVErrors(t *testing.T) {
 		"id,class,cores,memory_mb,start,end,cpu_util\nvm-1,badclass,1,1024,0,300,10\n",
 		"id,class,cores,memory_mb,start,end,cpu_util\nvm-1,interactive,notanint,1024,0,300,10\n",
 		"id,class,cores,memory_mb,start,end,cpu_util\nvm-1,interactive,1,1024,0,300,10;x\n",
+		// Rows no simulation can replay, each named by its line (3).
+		"id,class,cores,memory_mb,start,end,cpu_util\nvm-0,interactive,1,1024,0,300,10\nvm-1,interactive,1,1024,NaN,300,10\n",
+		"id,class,cores,memory_mb,start,end,cpu_util\nvm-0,interactive,1,1024,0,300,10\nvm-1,interactive,1,1024,0,+Inf,10\n",
+		"id,class,cores,memory_mb,start,end,cpu_util\nvm-0,interactive,1,1024,0,300,10\nvm-1,interactive,1,1024,300,0,10\n",
+		"id,class,cores,memory_mb,start,end,cpu_util\nvm-0,interactive,1,1024,0,300,10\nvm-1,interactive,0,1024,0,300,10\n",
+		"id,class,cores,memory_mb,start,end,cpu_util\nvm-0,interactive,1,1024,0,300,10\nvm-1,interactive,1,-5,0,300,10\n",
+		"id,class,cores,memory_mb,start,end,cpu_util\nvm-0,interactive,1,1024,0,300,10\nvm-1,interactive,1,Inf,0,300,10\n",
+		"id,class,cores,memory_mb,start,end,cpu_util\nvm-0,interactive,1,1024,0,300,10\nvm-1,interactive,1,1024,0,300,10;NaN\n",
+		"id,class,cores,memory_mb,start,end,cpu_util\nvm-0,interactive,1,1024,0,300,10\nvm-0,interactive,1,1024,0,300,10\n",
 	}
 	for i, in := range cases {
-		if _, err := ReadAzureCSV(strings.NewReader(in)); err == nil {
+		_, err := ReadAzureCSV(strings.NewReader(in))
+		if err == nil {
 			t.Errorf("case %d should fail", i)
+		} else if i >= 5 && !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("case %d: error %q does not name line 3", i, err)
 		}
 	}
 }
